@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-race bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke check clean
+.PHONY: build vet test test-race bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke check clean
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# bench/ is a module of its own that `go build ./...` and `go test ./...`
+# skip, yet it calls internal/... signatures directly: vet it and run its
+# tiny-scale smoke test (< 10 s) so a signature change that breaks the
+# benchmark fails here rather than in the next benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every benchmark — catches bit-rot in the bench
 # harness without paying for real measurement runs.
@@ -114,7 +121,7 @@ history-smoke:
 smoke:
 	$(GO) test -run TestEndpointSmoke -count=1 .
 
-check: build vet test fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke
+check: build vet test bench-module fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke
 
 clean:
 	$(GO) clean ./...

@@ -15,7 +15,6 @@ import (
 	"caligo/caliper"
 	"caligo/internal/attr"
 	internalcalql "caligo/internal/calql"
-	"caligo/internal/contexttree"
 	"caligo/internal/mpi"
 	"caligo/internal/obs"
 	"caligo/internal/pquery"
@@ -150,7 +149,6 @@ func queryFilesObs(queryText string, files []string, opts Options, aq *obs.Activ
 		return nil, err
 	}
 	reg := attr.NewRegistry()
-	tree := contexttree.New()
 	eng, err := query.New(q, reg)
 	if err != nil {
 		return nil, err
@@ -171,7 +169,7 @@ func queryFilesObs(queryText string, files []string, opts Options, aq *obs.Activ
 		readStart = time.Now()
 	}
 	plan := query.NewScanPlan(q, opts.scan())
-	nrecs, bytesRead, err := plan.ScanFiles(eng, files, reg, tree)
+	nrecs, bytesRead, err := plan.ScanFiles(eng, files, reg, nil)
 	if err != nil {
 		asp.End()
 		rsp.End()

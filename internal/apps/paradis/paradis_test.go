@@ -2,6 +2,7 @@ package paradis
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -70,6 +71,55 @@ func TestEvaluationQueryProduces85Rows(t *testing.T) {
 	}
 	if len(rows) != 85 {
 		t.Errorf("evaluation query rows = %d, want 85 (paper)", len(rows))
+	}
+}
+
+// TestReaderTreeSink: a Reader's records do not depend on whether it is
+// given a context tree, and a tree it is given grows exactly as it did
+// when the Reader resolved paths through it (node counts measured before
+// the Reader got its own node table) — cali-stat's node count and the
+// index's TreeNodes come from there.
+func TestReaderTreeSink(t *testing.T) {
+	cfg := DefaultConfig()
+	var ranks [2]bytes.Buffer
+	for i := range ranks {
+		if err := WriteRank(&ranks[i], i, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appended := append(append([]byte{}, ranks[0].Bytes()...), ranks[1].Bytes()...)
+
+	plain, err := calformat.NewReader(bytes.NewReader(appended), attr.NewRegistry(), nil).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := contexttree.New()
+	sunk, err := calformat.NewReader(bytes.NewReader(appended), attr.NewRegistry(), tree).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plain) != 2*cfg.RecordsPerFile() || len(sunk) != len(plain) {
+		t.Fatalf("records = %d without a tree, %d with, want %d", len(plain), len(sunk), 2*cfg.RecordsPerFile())
+	}
+	for i := range plain {
+		// as entry slices: FlatRecord.String would sort the entries
+		if p, s := fmt.Sprint([]attr.Entry(plain[i])), fmt.Sprint([]attr.Entry(sunk[i])); p != s {
+			t.Fatalf("record %d: %s without a tree, %s with", i, p, s)
+		}
+	}
+	if tree.Len() != 4304 {
+		t.Errorf("appended stream: tree has %d nodes, want 4304", tree.Len())
+	}
+
+	// two files into one shared registry and tree
+	reg, shared := attr.NewRegistry(), contexttree.New()
+	for i, want := range []int{2152, 4304} {
+		if _, err := calformat.NewReader(&ranks[i], reg, shared).ReadAll(); err != nil {
+			t.Fatal(err)
+		}
+		if shared.Len() != want {
+			t.Errorf("after rank %d: shared tree has %d nodes, want %d", i, shared.Len(), want)
+		}
 	}
 }
 

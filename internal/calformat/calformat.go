@@ -14,8 +14,8 @@
 // as the in-memory snapshot representation.
 //
 // The Writer lives in this file; the byte-oriented zero-allocation Reader
-// lives in decode.go, and the legacy string/map-based decoder it is fuzzed
-// against lives in legacy.go.
+// lives in decode.go. The legacy string/map-based decoder it is fuzzed
+// against is test-only code (legacy_test.go).
 package calformat
 
 import (

@@ -7,14 +7,18 @@ package calformat
 // interns attribute names and string values through a registry-backed
 // table so each distinct value is allocated once per stream set. Together
 // with NextInto (caller-owned record reuse) the steady-state decode loop
-// allocates nothing per record. Semantics are pinned to the legacy
-// decoder in legacy.go by FuzzDecodeDiff.
+// allocates nothing per record. Context paths expand from a reader-owned
+// node arena (nodeRec), so a stream that defines a fresh node before
+// every record — the shape of an aggregated profile — costs no more per
+// record than one that reuses a single node. Semantics are pinned to the
+// legacy decoder in legacy_test.go by FuzzDecodeDiff.
 
 import (
 	"bufio"
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"unsafe"
 
@@ -54,9 +58,9 @@ func bstr(b []byte) string {
 }
 
 // unescapeAppend appends the unescaped form of src to dst. Semantics
-// match unescape in legacy.go: \n and \r decode to newline and carriage
-// return, any other escaped byte decodes to itself, and a trailing lone
-// backslash is kept literal.
+// match unescape in legacy_test.go: \n and \r decode to newline and
+// carriage return, any other escaped byte decodes to itself, and a
+// trailing lone backslash is kept literal.
 func unescapeAppend(dst, src []byte) []byte {
 	for i := 0; i < len(src); i++ {
 		if src[i] == '\\' && i+1 < len(src) {
@@ -76,10 +80,30 @@ func unescapeAppend(dst, src []byte) []byte {
 	return dst
 }
 
-// Reader parses a .cali stream. Stream-local attribute ids and node ids
-// are remapped into the supplied registry and context tree, so multiple
-// files can be read into one shared registry/tree (the basis for
-// cross-process aggregation of per-process files).
+// nodeRec is one element of the Reader's node arena: a node line as
+// defined, with everything readCtxLine needs to expand its root path
+// without looking anything up. Parents always precede children in the
+// arena, so a walk along parent indexes terminates.
+type nodeRec struct {
+	entry  attr.Entry
+	parent int32              // arena index of the parent, -1 at a root
+	depth  int32              // entries on the root path, this one included
+	kept   int32              // of those, entries the projection keeps
+	keep   bool               // the projection keeps entry
+	sink   contexttree.NodeID // this node in the Reader's tree, if it has one
+}
+
+// nodeDenseSlack is how far past twice the arena size a node id may lie
+// and still be indexed by slice: writers number nodes densely from 0, so
+// real streams never leave the slice, while a hostile id cannot make it
+// larger than a constant factor of the nodes actually defined.
+const nodeDenseSlack = 64
+
+// Reader parses a .cali stream. Stream-local attribute ids are remapped
+// into the supplied registry, so multiple files can be read into one
+// shared registry (the basis for cross-process aggregation of
+// per-process files). Stream-local node ids resolve through the Reader's
+// own arena; a non-nil tree additionally receives every node.
 //
 // Reader is not safe for concurrent use.
 type Reader struct {
@@ -87,9 +111,8 @@ type Reader struct {
 	src      io.Reader
 	seeker   io.Seeker // src if it supports seeking, else nil
 	reg      *attr.Registry
-	tree     *contexttree.Tree
+	tree     *contexttree.Tree // optional sink for node definitions
 	attrMap  map[int64]attr.Attribute
-	nodeMap  map[int64]contexttree.NodeID
 	globals  []attr.Entry
 	line     int
 	consumed int   // exact bytes of input consumed by the last scanned token
@@ -107,7 +130,13 @@ type Reader struct {
 	keyScratch []byte // unescaped key bytes for findField comparisons
 	scanBuf    []byte // scanner buffer, kept so SkipTo can rebuild without realloc
 	interned   map[string]string
-	pathCache  map[contexttree.NodeID]cachedPath
+
+	// Node table. A redefined id appends a new arena element and repoints
+	// the id, so children defined earlier keep the parent they named
+	// (appended streams renumber from 0).
+	nodes   []nodeRec
+	nodeIdx []int32         // stream node id -> arena index + 1; 0 = undefined
+	nodeFar map[int64]int32 // arena index of ids outside the dense range
 
 	// Projection pushdown (SetProjection): entries of attributes outside
 	// keep are dropped during decode instead of materialized.
@@ -115,23 +144,17 @@ type Reader struct {
 	drop map[int64]bool // stream-local ids of attrs outside keep
 }
 
-// cachedPath is a cached expanded node path, pre-filtered by the active
-// projection; dropped counts the entries the projection removed from it.
-type cachedPath struct {
-	entries []attr.Entry
-	full    int // entry count before projection
-}
-
-// NewReader returns a Reader merging stream contents into reg and tree.
+// NewReader returns a Reader merging the stream's attributes into reg.
+// If tree is non-nil the stream's context nodes are merged into it as
+// well (cali-stat and the indexer report its size); records decode the
+// same either way, so readers that only want records pass nil.
 func NewReader(rd io.Reader, reg *attr.Registry, tree *contexttree.Tree) *Reader {
 	r := &Reader{
-		src:       rd,
-		reg:       reg,
-		tree:      tree,
-		attrMap:   map[int64]attr.Attribute{},
-		nodeMap:   map[int64]contexttree.NodeID{},
-		interned:  map[string]string{},
-		pathCache: map[contexttree.NodeID]cachedPath{},
+		src:      rd,
+		reg:      reg,
+		tree:     tree,
+		attrMap:  map[int64]attr.Attribute{},
+		interned: map[string]string{},
 	}
 	if s, ok := rd.(io.Seeker); ok {
 		r.seeker = s
@@ -269,14 +292,14 @@ func (r *Reader) ScanMetaUntil(limit int64) error {
 // SetProjection restricts decoding to the named attributes: entries of
 // any other attribute are validated but not materialized into the
 // records NextInto returns. nil restores full decoding. Must be set
-// before reading begins (the path cache is projection-specific).
+// before reading begins (definitions record whether they are kept as
+// they are read).
 func (r *Reader) SetProjection(keep map[string]bool) {
 	r.keep = keep
 	r.drop = nil
 	if keep != nil {
 		r.drop = map[int64]bool{}
 	}
-	clear(r.pathCache)
 }
 
 func (r *Reader) errf(format string, args ...any) error {
@@ -324,37 +347,36 @@ func (r *Reader) parseValue(b []byte, t attr.Type) (attr.Variant, error) {
 	return attr.ParseAs(bstr(b), t)
 }
 
-// pathOf returns the expanded root-first entry path of a context tree
-// node, cached per node: repeated refs to the same node (the common case
-// — every record names its full context) cost one map hit instead of a
-// fresh slice. Under an active projection the cached path is stored
-// pre-filtered, with the original length kept for empty-record checks.
-func (r *Reader) pathOf(n contexttree.NodeID) (cachedPath, error) {
-	if p, ok := r.pathCache[n]; ok {
-		return p, nil
+// nodeAt returns the arena index the stream node id currently names.
+func (r *Reader) nodeAt(id int64) (int32, bool) {
+	if id >= 0 && id < int64(len(r.nodeIdx)) && r.nodeIdx[id] != 0 {
+		return r.nodeIdx[id] - 1, true
 	}
-	p, err := r.tree.Path(n, r.reg)
-	if err != nil {
-		return cachedPath{}, err
-	}
-	cp := cachedPath{entries: p, full: len(p)}
-	if r.keep != nil {
-		kept := p[:0]
-		for _, e := range p {
-			if r.keep[e.Attr.Name()] {
-				kept = append(kept, e)
-			}
+	at, ok := r.nodeFar[id]
+	return at, ok
+}
+
+// defineNode appends n to the arena and points the stream node id at it.
+func (r *Reader) defineNode(id int64, n nodeRec) {
+	at := int32(len(r.nodes))
+	r.nodes = append(r.nodes, n)
+	if id >= 0 && id < int64(2*len(r.nodes)+nodeDenseSlack) {
+		for int64(len(r.nodeIdx)) <= id {
+			r.nodeIdx = append(r.nodeIdx, 0)
 		}
-		cp.entries = kept
+		r.nodeIdx[id] = at + 1
+		return
 	}
-	r.pathCache[n] = cp
-	return cp, nil
+	if r.nodeFar == nil {
+		r.nodeFar = map[int64]int32{}
+	}
+	r.nodeFar[id] = at
 }
 
 // scanFields splits line into key=value spans in r.fields. Escape
 // sequences are left in place (spans index the raw bytes); empty segments
 // are skipped; a non-empty segment with no '=' is an error, exactly like
-// splitFields in legacy.go.
+// splitFields in legacy_test.go.
 func (r *Reader) scanFields(line []byte) error {
 	r.fields = r.fields[:0]
 	f := fieldSpan{}
@@ -416,8 +438,9 @@ func (r *Reader) findField(line []byte, name string) (val []byte, esc, ok bool) 
 
 // splitListSpans appends the spans of raw's ':'-separated elements to
 // dst. Offsets are relative to raw. Semantics match splitList in
-// legacy.go: empty input has no elements, a trailing separator yields a
-// trailing empty element, and escaped separators stay within an element.
+// legacy_test.go: empty input has no elements, a trailing separator
+// yields a trailing empty element, and escaped separators stay within an
+// element.
 func splitListSpans(dst []listElem, raw []byte) []listElem {
 	if len(raw) == 0 {
 		return dst
@@ -582,23 +605,33 @@ func (r *Reader) readNodeLine(line []byte) error {
 	if !ok {
 		return r.errf("node record: undefined attribute %d", aid)
 	}
-	parent := contexttree.InvalidNode
+	n := nodeRec{parent: -1, sink: contexttree.InvalidNode}
 	if psRaw, _, _ := r.findField(line, "parent"); len(psRaw) > 0 {
 		pid, err := strconv.ParseInt(bstr(psRaw), 10, 64)
 		if err != nil {
 			return r.errf("node record: bad parent %q", psRaw)
 		}
-		parent, ok = r.nodeMap[pid]
+		n.parent, ok = r.nodeAt(pid)
 		if !ok {
 			return r.errf("node record: undefined parent node %d", pid)
 		}
+		p := &r.nodes[n.parent]
+		n.depth, n.kept, n.sink = p.depth, p.kept, p.sink
 	}
 	dataRaw, dataEsc, _ := r.findField(line, "data")
 	v, err := r.parseValue(r.unescaped(dataRaw, dataEsc), a.Type())
 	if err != nil {
 		return r.errf("node record: %v", err)
 	}
-	r.nodeMap[id] = r.tree.GetChild(parent, a, v)
+	n.entry = attr.Entry{Attr: a, Value: v}
+	n.depth++
+	if n.keep = !r.drop[aid]; n.keep {
+		n.kept++
+	}
+	if r.tree != nil {
+		n.sink = r.tree.GetChild(n.sink, a, v)
+	}
+	r.defineNode(id, n)
 	return nil
 }
 
@@ -634,16 +667,21 @@ func (r *Reader) readCtxLine(line []byte, dst *snapshot.FlatRecord) error {
 		if err != nil {
 			return r.errf("ctx record: bad node ref %q", ref)
 		}
-		local, ok := r.nodeMap[nid]
+		at, ok := r.nodeAt(nid)
 		if !ok {
 			return r.errf("ctx record: undefined node %d", nid)
 		}
-		path, err := r.pathOf(local)
-		if err != nil {
-			return r.errf("ctx record: %v", err)
+		// write the kept part of the root path in place, root first
+		leaf := &r.nodes[at]
+		full += int(leaf.depth)
+		i := len(*dst) + int(leaf.kept)
+		*dst = slices.Grow(*dst, int(leaf.kept))[:i]
+		for ; at >= 0; at = r.nodes[at].parent {
+			if n := &r.nodes[at]; n.keep {
+				i--
+				(*dst)[i] = n.entry
+			}
 		}
-		*dst = append(*dst, path.entries...)
-		full += path.full
 	}
 	attrRaw, _, hasAttr := r.findField(line, "attr")
 	dataRaw, _, hasData := r.findField(line, "data")

@@ -6,6 +6,7 @@ package calformat
 // covered by FuzzDecodeDiff in fuzz_test.go.
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -123,8 +124,10 @@ func decodeAllocInput(nrec int) string {
 }
 
 // TestNextIntoAllocBudget pins the steady-state decode loop to zero
-// allocations per record: spans, scratch, intern table, and path cache
-// are all warm after the first few records.
+// allocations per record for a stream that reuses one node: spans,
+// scratch and intern table are all warm after the first few records.
+// (TestWideTreeAllocBudget covers the stream that defines a node per
+// record.)
 func TestNextIntoAllocBudget(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation budgets do not hold under -race instrumentation")
@@ -166,5 +169,271 @@ func TestNextAllocBudget(t *testing.T) {
 	// growing the 4-entry record costs a few slice doublings
 	if avg > 3 {
 		t.Fatalf("steady-state Next = %.2f allocs/record, want <= 3", avg)
+	}
+}
+
+// wideTreeInput builds the shape of an aggregated profile, where every
+// key occurs once: each ctx record references a depth-3 node defined on
+// the line before it.
+func wideTreeInput(nrec int) string {
+	var sb strings.Builder
+	sb.WriteString("__rec=attr,id=0,name=function,type=string,prop=nested\n")
+	sb.WriteString("__rec=attr,id=1,name=iteration,type=int,prop=\n")
+	sb.WriteString("__rec=attr,id=2,name=time.duration,type=double,prop=asvalue\n")
+	sb.WriteString("__rec=node,id=0,attr=0,data=main,parent=\n")
+	sb.WriteString("__rec=node,id=1,attr=0,data=work,parent=0\n")
+	for i := 0; i < nrec; i++ {
+		fmt.Fprintf(&sb, "__rec=node,id=%d,attr=1,data=%d,parent=1\n", i+2, i)
+		fmt.Fprintf(&sb, "__rec=ctx,ref=%d,attr=2,data=0.5\n", i+2)
+	}
+	return sb.String()
+}
+
+// TestWideTreeAllocBudget pins the whole decode of a wide-tree stream —
+// definition lines, arena and id-table growth, and reader set-up all
+// included — to a tenth of an allocation per record when no tree sink is
+// attached (the query path).
+func TestWideTreeAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets do not hold under -race instrumentation")
+	}
+	const nrec = 2000
+	in := wideTreeInput(nrec)
+	reg := attr.NewRegistry()
+	var rec snapshot.FlatRecord
+	decode := func() {
+		rd := NewReader(strings.NewReader(in), reg, nil)
+		n := 0
+		for ; ; n++ {
+			err := rd.NextInto(&rec)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec) != 4 {
+				t.Fatalf("record %d has %d entries, want 4", n, len(rec))
+			}
+		}
+		if n != nrec {
+			t.Fatalf("decoded %d records, want %d", n, nrec)
+		}
+	}
+	decode() // attribute names enter the registry once
+	if avg := testing.AllocsPerRun(5, decode) / nrec; avg > 0.1 {
+		t.Fatalf("wide-tree decode = %.3f allocs/record, want <= 0.1", avg)
+	}
+}
+
+// inOrder renders a record entry by entry (FlatRecord.String sorts).
+func inOrder(rec snapshot.FlatRecord) string {
+	parts := make([]string, len(rec))
+	for i, e := range rec {
+		parts[i] = e.String()
+	}
+	return strings.Join(parts, " ")
+}
+
+const nodeTablePrologue = "__rec=attr,id=0,name=function,type=string,prop=nested\n" +
+	"__rec=attr,id=1,name=count,type=int,prop=asvalue\n"
+
+// nodeTableCases exercise the Reader's stream-local node table. They are
+// also FuzzDecodeDiff seeds.
+var nodeTableCases = []struct {
+	name  string
+	in    string
+	want  []string // records, entries in order
+	err   string   // error after the last wanted record ("" = io.EOF)
+	nodes int      // size of the tree sink afterwards
+}{
+	{
+		// An appended stream renumbers nodes (and attributes) from 0. A
+		// child defined before the redefinition keeps the parent it
+		// named; refs and children after it see the new node.
+		name: "appended stream redefines ids",
+		in: nodeTablePrologue +
+			"__rec=node,id=0,attr=0,data=main,parent=\n" +
+			"__rec=node,id=1,attr=0,data=foo,parent=0\n" +
+			"__rec=ctx,ref=1,attr=1,data=1\n" +
+			"__rec=attr,id=0,name=count,type=int,prop=asvalue\n" +
+			"__rec=attr,id=1,name=region,type=string,prop=nested\n" +
+			"__rec=node,id=0,attr=1,data=init,parent=\n" +
+			"__rec=ctx,ref=1,attr=0,data=2\n" +
+			"__rec=ctx,ref=0,attr=0,data=3\n" +
+			"__rec=node,id=2,attr=1,data=io,parent=0\n" +
+			"__rec=ctx,ref=2:1,attr=0,data=4\n",
+		want: []string{
+			"function=main function=foo count=1",
+			"function=main function=foo count=2",
+			"region=init count=3",
+			"region=init region=io function=main function=foo count=4",
+		},
+		nodes: 4,
+	},
+	{
+		name: "redefinition with the same content merges in the sink",
+		in: nodeTablePrologue +
+			"__rec=node,id=0,attr=0,data=main,parent=\n" +
+			"__rec=node,id=0,attr=0,data=main,parent=\n" +
+			"__rec=node,id=1,attr=0,data=main,parent=0\n" +
+			"__rec=ctx,ref=1\n",
+		want:  []string{"function=main function=main"},
+		nodes: 2,
+	},
+	{
+		name: "sparse, huge and negative node ids",
+		in: nodeTablePrologue +
+			"__rec=node,id=1099511627776,attr=0,data=far,parent=\n" +
+			"__rec=node,id=-7,attr=0,data=neg,parent=1099511627776\n" +
+			"__rec=node,id=5000,attr=0,data=sparse,parent=-7\n" +
+			"__rec=node,id=3,attr=0,data=near,parent=5000\n" +
+			"__rec=ctx,ref=3\n" +
+			"__rec=ctx,ref=-7:1099511627776,attr=1,data=9\n" +
+			"__rec=ctx,ref=4999\n",
+		want: []string{
+			"function=far function=neg function=sparse function=near",
+			"function=far function=neg function=far count=9",
+		},
+		err:   "calformat: line 9: ctx record: undefined node 4999",
+		nodes: 4,
+	},
+	{
+		// id 200 lands in the far map while the arena is empty; once the
+		// dense slice has grown past it (id 300), it must still resolve,
+		// and a redefinition must replace it.
+		name: "far id overtaken by the dense range",
+		in: func() string {
+			var sb strings.Builder
+			sb.WriteString(nodeTablePrologue)
+			sb.WriteString("__rec=node,id=200,attr=0,data=early,parent=\n")
+			for i := 0; i < 150; i++ {
+				fmt.Fprintf(&sb, "__rec=node,id=%d,attr=0,data=n%d,parent=\n", i, i)
+			}
+			sb.WriteString("__rec=node,id=300,attr=0,data=beyond,parent=\n")
+			sb.WriteString("__rec=ctx,ref=200\n")
+			sb.WriteString("__rec=node,id=200,attr=0,data=late,parent=\n")
+			sb.WriteString("__rec=ctx,ref=200\n")
+			return sb.String()
+		}(),
+		want:  []string{"function=early", "function=late"},
+		nodes: 153,
+	},
+	{
+		name: "undefined parent",
+		in: nodeTablePrologue +
+			"__rec=node,id=0,attr=0,data=main,parent=\n" +
+			"\n" +
+			"__rec=node,id=1,attr=0,data=foo,parent=2\n",
+		err:   "calformat: line 5: node record: undefined parent node 2",
+		nodes: 1,
+	},
+	{
+		name: "node that names itself as parent",
+		in: nodeTablePrologue +
+			"__rec=node,id=0,attr=0,data=main,parent=0\n",
+		err: "calformat: line 3: node record: undefined parent node 0",
+	},
+	{
+		name: "undefined ref after a valid one",
+		in: nodeTablePrologue +
+			"__rec=node,id=0,attr=0,data=main,parent=\n" +
+			"__rec=ctx,ref=0:1\n",
+		err:   "calformat: line 4: ctx record: undefined node 1",
+		nodes: 1,
+	},
+}
+
+// TestNodeTable: each case decodes to the same records, error and tree
+// size through the Reader with a tree sink, the Reader without one, and
+// the legacy decoder — whose tree is what the Reader's used to be, so
+// cali-stat's node count and the index's TreeNodes cannot drift.
+func TestNodeTable(t *testing.T) {
+	type next interface {
+		Next() (snapshot.FlatRecord, error)
+	}
+	for _, c := range nodeTableCases {
+		t.Run(c.name, func(t *testing.T) {
+			sink, oracleTree := contexttree.New(), contexttree.New()
+			readers := []struct {
+				name string
+				rd   next
+				tree *contexttree.Tree
+			}{
+				{"tree sink", NewReader(strings.NewReader(c.in), attr.NewRegistry(), sink), sink},
+				{"no tree", NewReader(strings.NewReader(c.in), attr.NewRegistry(), nil), nil},
+				{"legacy", newOracleReader(strings.NewReader(c.in), attr.NewRegistry(), oracleTree), oracleTree},
+			}
+			for _, r := range readers {
+				for i, want := range c.want {
+					rec, err := r.rd.Next()
+					if err != nil {
+						t.Fatalf("%s: record %d: %v", r.name, i, err)
+					}
+					if got := inOrder(rec); got != want {
+						t.Errorf("%s: record %d = %s, want %s", r.name, i, got, want)
+					}
+				}
+				_, err := r.rd.Next()
+				if c.err == "" && err != io.EOF {
+					t.Errorf("%s: after the last record: %v, want io.EOF", r.name, err)
+				}
+				if c.err != "" && (err == nil || err.Error() != c.err) {
+					t.Errorf("%s: error = %v, want %s", r.name, err, c.err)
+				}
+				if r.tree != nil && r.tree.Len() != c.nodes {
+					t.Errorf("%s: tree has %d nodes, want %d", r.name, r.tree.Len(), c.nodes)
+				}
+			}
+		})
+	}
+}
+
+// TestProjectedAwayRecord: projection drops entries, never records — a
+// record with nothing left is returned empty (AGGREGATE count counts
+// it), and projected path nodes vanish from the middle of a path too.
+func TestProjectedAwayRecord(t *testing.T) {
+	in := "__rec=attr,id=0,name=function,type=string,prop=nested\n" +
+		"__rec=attr,id=1,name=loop,type=string,prop=nested\n" +
+		"__rec=attr,id=2,name=count,type=int,prop=asvalue\n" +
+		"__rec=node,id=0,attr=0,data=main,parent=\n" +
+		"__rec=node,id=1,attr=1,data=outer,parent=0\n" +
+		"__rec=node,id=2,attr=0,data=foo,parent=1\n" +
+		"__rec=ctx,ref=1,attr=2,data=1\n" +
+		"__rec=ctx,ref=2,attr=2,data=2\n" +
+		"__rec=ctx,ref=2:0\n" +
+		"__rec=ctx\n"
+	for _, c := range []struct {
+		keep map[string]bool
+		want []string
+	}{
+		{nil, []string{"function=main loop=outer count=1", "function=main loop=outer function=foo count=2",
+			"function=main loop=outer function=foo function=main"}},
+		{map[string]bool{"function": true}, []string{"function=main", "function=main function=foo",
+			"function=main function=foo function=main"}},
+		{map[string]bool{"loop": true, "count": true}, []string{"loop=outer count=1", "loop=outer count=2", "loop=outer"}},
+		{map[string]bool{"other": true}, []string{"", "", ""}},
+	} {
+		for _, tree := range []*contexttree.Tree{nil, contexttree.New()} {
+			rd := NewReader(strings.NewReader(in), attr.NewRegistry(), tree)
+			rd.SetProjection(c.keep)
+			var rec snapshot.FlatRecord
+			for i, want := range c.want {
+				if err := rd.NextInto(&rec); err != nil {
+					t.Fatalf("keep %v: record %d: %v", c.keep, i, err)
+				}
+				if got := inOrder(rec); got != want {
+					t.Errorf("keep %v: record %d = %q, want %q", c.keep, i, got, want)
+				}
+			}
+			// a record that was written empty is still an error
+			err := rd.NextInto(&rec)
+			if err == nil || err.Error() != "calformat: line 10: ctx record: empty record" {
+				t.Errorf("keep %v: empty ctx line: %v", c.keep, err)
+			}
+			if tree != nil && tree.Len() != 3 {
+				t.Errorf("keep %v: tree has %d nodes, want 3 (projection must not thin the sink)", c.keep, tree.Len())
+			}
+		}
 	}
 }

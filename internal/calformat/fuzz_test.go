@@ -1,6 +1,7 @@
 package calformat
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -143,7 +144,7 @@ func FuzzNestedPathRoundTrip(f *testing.F) {
 }
 
 // FuzzDecodeDiff: the byte-oriented decoder must be observationally
-// identical to the legacy string/map decoder (legacy.go) on arbitrary
+// identical to the legacy string/map decoder (legacy_test.go) on arbitrary
 // input — same records, same globals, same error at the same point.
 func FuzzDecodeDiff(f *testing.F) {
 	seeds := []string{
@@ -181,14 +182,24 @@ func FuzzDecodeDiff(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	for _, c := range nodeTableCases {
+		f.Add(c.in)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
-		rn := NewReader(strings.NewReader(input), attr.NewRegistry(), contexttree.New())
-		ro := newOracleReader(strings.NewReader(input), attr.NewRegistry(), contexttree.New())
+		treeN, treeO := contexttree.New(), contexttree.New()
+		rn := NewReader(strings.NewReader(input), attr.NewRegistry(), treeN)
+		rz := NewReader(strings.NewReader(input), attr.NewRegistry(), nil) // no tree sink
+		ro := newOracleReader(strings.NewReader(input), attr.NewRegistry(), treeO)
 		for i := 0; ; i++ {
 			recN, errN := rn.Next()
+			recZ, errZ := rz.Next()
 			recO, errO := ro.Next()
 			if (errN == nil) != (errO == nil) {
 				t.Fatalf("record %d: error divergence:\nnew:    %v\noracle: %v\ninput: %q", i, errN, errO, input)
+			}
+			if fmt.Sprint(errZ) != fmt.Sprint(errN) || inOrder(recZ) != inOrder(recN) {
+				t.Fatalf("record %d: tree sink changes the result:\nwith:    %s, %v\nwithout: %s, %v\ninput: %q",
+					i, recN, errN, recZ, errZ, input)
 			}
 			if errN != nil {
 				if errN.Error() != errO.Error() {
@@ -196,9 +207,13 @@ func FuzzDecodeDiff(f *testing.F) {
 				}
 				break
 			}
-			if recN.String() != recO.String() {
+			if inOrder(recN) != inOrder(recO) {
 				t.Fatalf("record %d divergence:\nnew:    %s\noracle: %s\ninput: %q", i, recN, recO, input)
 			}
+		}
+		// cali-stat and the indexer report the sink's size
+		if treeN.Len() != treeO.Len() {
+			t.Fatalf("tree nodes: new %d, oracle %d, input %q", treeN.Len(), treeO.Len(), input)
 		}
 		gN, gO := rn.Globals(), ro.Globals()
 		if len(gN) != len(gO) {

@@ -425,8 +425,8 @@ type IndexingWriter struct {
 	acc     *indexAcc
 	globals int
 
-	// expanded-path cache, mirroring the reader side: zone accumulation
-	// needs each record's full entry expansion
+	// expanded-path cache: zone accumulation needs each record's full
+	// entry expansion
 	pathCache map[contexttree.NodeID][]attr.Entry
 }
 

@@ -119,30 +119,32 @@ func (t *Tree) Entry(id NodeID) (attr.ID, attr.Variant, error) {
 }
 
 // Path returns the entries on the path from the root down to id, in
-// root-to-node order, resolving attribute ids through reg.
+// root-to-node order, resolving attribute ids through reg. The result is
+// allocated once at its exact size.
 func (t *Tree) Path(id NodeID, reg *attr.Registry) ([]attr.Entry, error) {
-	var rev []attr.Entry
 	t.mu.RLock()
-	for id != InvalidNode {
-		if id < 0 || int(id) >= len(t.nodes) {
-			t.mu.RUnlock()
-			return nil, fmt.Errorf("contexttree: invalid node id %d", id)
+	defer t.mu.RUnlock()
+	depth := 0
+	for n := id; n != InvalidNode; n = t.nodes[n].parent {
+		if n < 0 || int(n) >= len(t.nodes) {
+			return nil, fmt.Errorf("contexttree: invalid node id %d", n)
 		}
+		depth++
+	}
+	if depth == 0 {
+		return nil, nil
+	}
+	path := make([]attr.Entry, depth)
+	for i := depth - 1; i >= 0; i-- {
 		n := t.nodes[id]
 		a, ok := reg.Get(n.attr)
 		if !ok {
-			t.mu.RUnlock()
 			return nil, fmt.Errorf("contexttree: node %d references unknown attribute %d", id, n.attr)
 		}
-		rev = append(rev, attr.Entry{Attr: a, Value: n.value})
+		path[i] = attr.Entry{Attr: a, Value: n.value}
 		id = n.parent
 	}
-	t.mu.RUnlock()
-	// reverse to root-first order
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, nil
+	return path, nil
 }
 
 // FindInPath walks from id toward the root and returns the first (deepest)

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"caligo/internal/attr"
+	"caligo/internal/testutil"
 )
 
 func testReg(t *testing.T) (*attr.Registry, attr.Attribute, attr.Attribute, attr.Attribute) {
@@ -60,6 +61,28 @@ func TestPathRoundTrip(t *testing.T) {
 		if got[i].Attr.ID() != entries[i].Attr.ID() || got[i].Value != entries[i].Value {
 			t.Errorf("Path[%d] = %v, want %v", i, got[i], entries[i])
 		}
+	}
+}
+
+// TestPathAllocBudget: Path sizes its result exactly — one allocation
+// whatever the depth (snapshot.Record.Unpack calls it per snapshot).
+func TestPathAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets do not hold under -race instrumentation")
+	}
+	reg, _, _, iter := testReg(t)
+	tree := New()
+	n := InvalidNode
+	for i := 0; i < 9; i++ {
+		n = tree.GetChild(n, iter, attr.IntV(int64(i)))
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if p, err := tree.Path(n, reg); err != nil || len(p) != 9 {
+			t.Fatalf("Path = %d entries, %v", len(p), err)
+		}
+	})
+	if avg != 1 {
+		t.Fatalf("Path = %.2f allocs, want 1", avg)
 	}
 }
 

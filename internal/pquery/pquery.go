@@ -169,10 +169,9 @@ func run(world *mpi.World, queryText string, in rankInput, fanin int, aq *obs.Ac
 
 // runRank is the per-rank program: local aggregation, then tree reduce.
 func runRank(c *mpi.Comm, q *calql.Query, input rankInput, fanin int, aq *obs.ActiveQuery) (*Result, error) {
-	// Each rank has its own registry and context tree — per-process
-	// address spaces, as in the real tool.
+	// Each rank has its own registry — per-process address spaces, as in
+	// the real tool.
 	reg := attr.NewRegistry()
-	tree := contexttree.New()
 	eng, err := query.New(q, reg)
 	if err != nil {
 		return nil, err
@@ -193,7 +192,7 @@ func runRank(c *mpi.Comm, q *calql.Query, input rankInput, fanin int, aq *obs.Ac
 				rsp.ArgInt("qid", int64(qid))
 				asp.ArgInt("qid", int64(qid))
 			}
-			n, nb, err := input.plan.ScanFiles(eng, fl, reg, tree)
+			n, nb, err := input.plan.ScanFiles(eng, fl, reg, nil)
 			if err != nil {
 				asp.End()
 				rsp.End()
@@ -230,7 +229,7 @@ func runRank(c *mpi.Comm, q *calql.Query, input rankInput, fanin int, aq *obs.Ac
 			asp.ArgInt("qid", int64(qid))
 		}
 		cr := &countingReader{r: in}
-		rd := calformat.NewReader(cr, reg, tree)
+		rd := calformat.NewReader(cr, reg, nil)
 		var rec snapshot.FlatRecord // reused across NextInto calls
 		for {
 			err := rd.NextInto(&rec)
@@ -479,7 +478,6 @@ func gatherRows(c *mpi.Comm, q *calql.Query, eng *query.Engine, reg *attr.Regist
 		return nil, nil
 	}
 	rootReg := attr.NewRegistry()
-	rootTree := contexttree.New()
 	var all []snapshot.FlatRecord
 	var total uint64
 	for _, g := range gathered {
@@ -489,7 +487,7 @@ func gatherRows(c *mpi.Comm, q *calql.Query, eng *query.Engine, reg *attr.Regist
 			return nil, err
 		}
 		total += p.processed
-		rd := calformat.NewReader(bytes.NewReader(p.state), rootReg, rootTree)
+		rd := calformat.NewReader(bytes.NewReader(p.state), rootReg, nil)
 		recs, err := rd.ReadAll()
 		if err != nil {
 			sp.End()

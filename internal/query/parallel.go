@@ -8,7 +8,6 @@ import (
 
 	"caligo/internal/attr"
 	"caligo/internal/calql"
-	"caligo/internal/contexttree"
 	"caligo/internal/obs"
 	"caligo/internal/snapshot"
 	"caligo/internal/telemetry"
@@ -19,7 +18,7 @@ import (
 // turns the input files into scan units — whole unindexed files, or block
 // ranges of indexed ones, with index-excluded files and blocks already
 // dropped — and the units are fanned out round-robin to worker goroutines.
-// Each worker owns a private read path (context tree, calformat reader)
+// Each worker owns a private read path (one calformat reader per unit)
 // and a private engine — and therefore a private aggregation-database
 // shard — and the shards are folded together with the same DB.Merge the
 // cross-process reduction uses (Section IV-C), applied in-process up a
@@ -175,9 +174,9 @@ func RunShardedPlan(plan *ScanPlan, q *calql.Query, reg *attr.Registry, files []
 	return rows, err
 }
 
-// runShard is one worker: it builds a private engine and context tree,
-// scans its round-robin unit subset (units w, w+jobs, ...), and feeds
-// every surviving record through the engine.
+// runShard is one worker: it builds a private engine, scans its
+// round-robin unit subset (units w, w+jobs, ...), and feeds every
+// surviving record through the engine.
 func runShard(plan *ScanPlan, q *calql.Query, reg *attr.Registry, units []Unit, jobs, w int,
 	st *shardState, rowsByUnit [][]snapshot.FlatRecord, aq *obs.ActiveQuery) error {
 	sp := trace.Begin("query.shard")
@@ -199,10 +198,7 @@ func runShard(plan *ScanPlan, q *calql.Query, reg *attr.Registry, units []Unit, 
 	var nunits, records int
 	var bytes int64
 	for ui := w; ui < len(units); ui += jobs {
-		// a fresh tree per unit: block ranges of one file may land on
-		// different workers, so node ids must not leak across units
-		tree := contexttree.New()
-		n, nb, err := plan.ScanUnit(eng, units[ui], reg, tree)
+		n, nb, err := plan.ScanUnit(eng, units[ui], reg, nil)
 		if err != nil {
 			return err
 		}

@@ -511,7 +511,9 @@ func splitUnits(units []Unit, jobs int) []Unit {
 // seeked over (definition-free) or metadata-scanned, live blocks are
 // decoded under the plan's projection. When the aggregate cache routed
 // the unit (cachescan.go), cached state replaces some or all of the
-// decode work. Returns the records decoded and bytes read.
+// decode work. tree goes to the unit's calformat.Reader as its optional
+// node sink; a query has no use for one and passes nil. Returns the
+// records decoded and bytes read.
 func (p *ScanPlan) ScanUnit(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	switch u.cacheMode {
 	case cacheHitMode:
