@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-race bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke check clean
+.PHONY: build vet test test-race loc bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke check clean
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,14 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Non-test, non-bench/ Go line counts for the groups ROADMAP tracks, so a
+# "deletes lines" claim in a PR comes from one command run before and after.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
+	echo "calql + internal/query + internal/pquery: $$(count calql internal/query internal/pquery)"; \
+	echo "observability (telemetry trace obs obs/history prof): $$(count internal/telemetry internal/trace internal/obs internal/prof)"; \
+	echo "total: $$(count . -path ./bench -prune -o)"
 
 # bench/ is a module of its own that `go build ./...` and `go test ./...`
 # skip, yet it calls internal/... signatures directly: vet it and run its

@@ -1,15 +1,20 @@
 // Package calql is the public interface to the aggregation description
 // language and query engine: parse queries in the SQL-like language of
-// Section III-B and run them over .cali datasets — serially or with the
-// emulated-MPI parallel query application of Section IV-C — or over
-// records flushed from a live caliper.Channel (on-line analytical
-// aggregation).
+// Section III-B and run them over .cali datasets, or over records flushed
+// from a live caliper.Channel (on-line analytical aggregation).
+//
+// Every file query — serial (QueryFiles, QueryFilesOpt), sharded across
+// in-process workers (QueryFilesJobsOpt), the emulated-MPI parallel query
+// application of Section IV-C (QueryFilesParallelOpt), EXPLAIN ANALYZE
+// (ExplainFilesOpts) — runs through the one executor in internal/query;
+// the entry points differ only in the worker and rank counts they pass.
 package calql
 
 import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"caligo/caliper"
@@ -64,21 +69,12 @@ func (rs *Resultset) Render(w io.Writer) error {
 
 // String renders the resultset as text.
 func (rs *Resultset) String() string {
-	var sb stringsBuilder
+	var sb strings.Builder
 	if err := rs.Render(&sb); err != nil {
 		return fmt.Sprintf("<error: %v>", err)
 	}
 	return sb.String()
 }
-
-// stringsBuilder avoids importing strings just for Builder.
-type stringsBuilder struct{ buf []byte }
-
-func (b *stringsBuilder) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
-	return len(p), nil
-}
-func (b *stringsBuilder) String() string { return string(b.buf) }
 
 // Options control query execution across the QueryFiles* entry points.
 // The zero value is the default behavior.
@@ -132,106 +128,23 @@ func QueryFiles(queryText string, files []string) (*Resultset, error) {
 
 // QueryFilesOpt is QueryFiles with explicit execution options.
 func QueryFilesOpt(queryText string, files []string, opts Options) (*Resultset, error) {
-	aq := obs.BeginQuery(queryText, "serial")
-	rs, err := queryFilesObs(queryText, files, opts, aq)
-	if rs != nil {
-		aq.SetRows(len(rs.Rows))
-	}
-	aq.End(err)
-	return rs, err
+	return QueryFilesJobsOpt(queryText, files, 1, opts)
 }
 
-// queryFilesObs is the serial execution body, accounting into aq (nil
-// disables attribution).
-func queryFilesObs(queryText string, files []string, opts Options, aq *obs.ActiveQuery) (*Resultset, error) {
-	q, err := Parse(queryText)
-	if err != nil {
-		return nil, err
-	}
-	reg := attr.NewRegistry()
-	eng, err := query.New(q, reg)
-	if err != nil {
-		return nil, err
-	}
-	// Records stream straight from the decoder into the engine through one
-	// reused record (no whole-dataset buffering). The read and aggregate
-	// spans still both appear — aggregate nested inside read — so EXPLAIN
-	// ANALYZE sees the same phase structure as the parallel path. The scan
-	// plan emits its own query.index spans alongside.
-	rsp := trace.Begin("query.read")
-	asp := trace.Begin("query.aggregate")
-	if qid := aq.ID(); qid != 0 {
-		rsp.ArgInt("qid", int64(qid))
-		asp.ArgInt("qid", int64(qid))
-	}
-	var readStart time.Time
-	if aq != nil {
-		readStart = time.Now()
-	}
-	plan := query.NewScanPlan(q, opts.scan())
-	nrecs, bytesRead, err := plan.ScanFiles(eng, files, reg, nil)
-	if err != nil {
-		asp.End()
-		rsp.End()
-		return nil, err
-	}
-	asp.ArgInt("records_in", int64(nrecs))
-	asp.ArgInt("records_out", int64(eng.Size()))
-	asp.End()
-	rsp.ArgInt("files", int64(len(files)))
-	rsp.ArgInt("records", int64(nrecs))
-	rsp.ArgInt("bytes", bytesRead)
-	rsp.End()
-	var postStart time.Time
-	if aq != nil {
-		aq.Phase("read+aggregate", time.Since(readStart))
-		aq.AddRecords(uint64(nrecs))
-		aq.AddBytes(uint64(bytesRead))
-		if st := plan.Stats(); st.CacheHits+st.CacheMisses+st.CacheIncremental > 0 {
-			aq.CacheStats(uint64(st.CacheHits), uint64(st.CacheMisses), uint64(st.CacheIncremental))
-		}
-		postStart = time.Now()
-	}
-	rows, err := eng.Results()
-	if aq != nil {
-		aq.Phase("postprocess", time.Since(postStart))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Resultset{Rows: rows, Reg: reg, Query: q}, nil
-}
-
-// QueryFilesJobs runs a query over the given .cali files with up to jobs
-// in-process read+aggregate workers (sharded multi-core execution): files
-// are fanned out round-robin, each worker aggregates its subset into a
-// private database shard, and the shards are folded together with a
-// pairwise merge tree before the shared postprocess tail. The output is
-// byte-identical to QueryFiles. jobs <= 0 selects one worker per CPU;
-// jobs == 1 shares the code path but runs a single worker.
-func QueryFilesJobs(queryText string, files []string, jobs int) (*Resultset, error) {
-	return QueryFilesJobsOpt(queryText, files, jobs, Options{})
-}
-
-// QueryFilesJobsOpt is QueryFilesJobs with explicit execution options.
-// With indexing enabled (the default), indexed files additionally shard
-// internally: block ranges of one large file fan out across the workers.
+// QueryFilesJobsOpt runs a query over the given .cali files with up to
+// jobs in-process read+aggregate workers (sharded multi-core execution):
+// scan units — files, or with indexing enabled (the default) block ranges
+// of one large indexed file — are fanned out round-robin, each worker
+// aggregates its units into a private database shard, and the shards are
+// folded together with a pairwise merge tree before the shared
+// postprocess tail. The output is byte-identical for every jobs. jobs <= 0
+// selects one worker per CPU; jobs == 1 is serial execution.
 func QueryFilesJobsOpt(queryText string, files []string, jobs int, opts Options) (*Resultset, error) {
-	aq := obs.BeginQuery(queryText, "sharded")
-	q, err := Parse(queryText)
+	res, err := run(queryText, files, jobs, 0, opts)
 	if err != nil {
-		aq.End(err)
 		return nil, err
 	}
-	reg := attr.NewRegistry()
-	rows, err := query.RunShardedFilesOpts(q, reg, files, jobs, aq, opts.scan())
-	if err != nil {
-		aq.End(err)
-		return nil, err
-	}
-	aq.SetRows(len(rows))
-	aq.End(nil)
-	return &Resultset{Rows: rows, Reg: reg, Query: q}, nil
+	return res.Resultset, nil
 }
 
 // ParallelTiming re-exports the parallel query phase breakdown.
@@ -244,18 +157,12 @@ type ParallelResult struct {
 	RecordsProcessed uint64
 }
 
-// QueryFilesParallel runs a query with the emulated-MPI parallel query
-// application: ranks MPI processes are spawned, files are distributed
-// round-robin (one subset per rank, as in the paper's weak-scaling setup),
-// each rank aggregates its subset locally, and the partial aggregation
+// QueryFilesParallelOpt runs a query with the emulated-MPI parallel query
+// application: ranks MPI processes are spawned (ranks <= 0: one per
+// file), files are distributed round-robin (one subset per rank, as in
+// the paper's weak-scaling setup), each rank aggregates its subset
+// locally through the index-aware scan layer, and the partial aggregation
 // databases are combined in a logarithmic tree reduction.
-func QueryFilesParallel(queryText string, files []string, ranks int) (*ParallelResult, error) {
-	return QueryFilesParallelOpt(queryText, files, ranks, Options{})
-}
-
-// QueryFilesParallelOpt is QueryFilesParallel with explicit execution
-// options. Each rank scans its file subset through the index-aware scan
-// layer, so sidecar indexes prune files and blocks per rank.
 func QueryFilesParallelOpt(queryText string, files []string, ranks int, opts Options) (*ParallelResult, error) {
 	if ranks <= 0 {
 		ranks = len(files)
@@ -263,75 +170,101 @@ func QueryFilesParallelOpt(queryText string, files []string, ranks int, opts Opt
 	if ranks <= 0 {
 		return nil, fmt.Errorf("calql: no input files")
 	}
-	aq := obs.BeginQuery(queryText, "mpi")
-	world, err := mpi.NewWorld(ranks)
-	if err != nil {
-		aq.End(err)
-		return nil, err
+	return run(queryText, files, 1, ranks, opts)
+}
+
+// resolve maps a requested (jobs, ranks) to the execution mode and worker
+// count of a query over nfiles files. Ranks take precedence: each rank of
+// the emulated-MPI path is one worker. run and EXPLAIN both resolve here,
+// so a plan describes the run it stands for. Neither may open the inputs
+// yet, so with index use on — one indexed file splits into up to a block
+// range per worker — only the executor, once it has planned the scan
+// units, clamps the count to them.
+func resolve(jobs, ranks, nfiles int, opts Options) (*query.Mode, int) {
+	if ranks > 0 {
+		return query.MPI, 1
 	}
-	filesFor := func(rank int) []string {
-		// round-robin assignment: rank r reads files r, r+ranks, ...
-		var fl []string
-		for i := rank; i < len(files); i += ranks {
-			fl = append(fl, files[i])
+	units := -1
+	if opts.NoIndex {
+		units = nfiles // unindexed, the unit is the file
+	}
+	if jobs = query.Workers(jobs, units); jobs > 1 {
+		return query.Sharded, jobs
+	}
+	return query.Serial, 1
+}
+
+// run is the one way a query over files executes: parse → registry → scan
+// plan → the executor's local phase (per rank when ranks > 0, followed by
+// the cross-rank tree reduce) → result rows, with query attribution
+// around it all.
+func run(queryText string, files []string, jobs, ranks int, opts Options) (res *ParallelResult, err error) {
+	mode, jobs := resolve(jobs, ranks, len(files), opts)
+	aq := obs.BeginQuery(queryText, mode.Engine)
+	defer func() {
+		if res != nil {
+			aq.SetRows(len(res.Rows))
 		}
-		return fl
-	}
-	res, err := pquery.RunFilesObs(world, queryText, filesFor, 0, aq, opts.scan())
-	if err != nil {
 		aq.End(err)
+	}()
+	q, err := Parse(queryText)
+	if err != nil {
 		return nil, err
 	}
-	aq.Phase("local", res.Timing.LocalWall)
-	if reduceWall := res.Timing.TotalWall - res.Timing.LocalWall; reduceWall > 0 {
-		aq.Phase("reduce", reduceWall)
+	x := query.NewExec(q, opts.scan(), mode, aq)
+	if mode == query.MPI {
+		world, err := mpi.NewWorld(ranks)
+		if err != nil {
+			return nil, err
+		}
+		pr, err := pquery.RunFiles(world, x, files)
+		if err != nil {
+			return nil, err
+		}
+		aq.Phase("local", pr.Timing.LocalWall)
+		if reduceWall := pr.Timing.TotalWall - pr.Timing.LocalWall; reduceWall > 0 {
+			aq.Phase("reduce", reduceWall)
+		}
+		res = &ParallelResult{
+			Resultset:        &Resultset{Rows: pr.Rows, Reg: pr.Reg, Query: q},
+			Timing:           pr.Timing,
+			RecordsProcessed: pr.RecordsProcessed,
+		}
+	} else {
+		reg := attr.NewRegistry()
+		eng, n, err := x.Local(reg, query.Input{Files: files}, jobs, 0)
+		if err != nil {
+			return nil, err
+		}
+		// the shared postprocess tail (post-ops, ORDER BY, LIMIT) runs
+		// once, over the fully merged engine
+		postStart := time.Now()
+		rows, err := eng.Results()
+		aq.Phase("postprocess", time.Since(postStart))
+		if err != nil {
+			return nil, err
+		}
+		res = &ParallelResult{
+			Resultset:        &Resultset{Rows: rows, Reg: reg, Query: q},
+			RecordsProcessed: uint64(n),
+		}
 	}
-	aq.SetRows(len(res.Rows))
-	aq.End(nil)
-	return &ParallelResult{
-		Resultset:        &Resultset{Rows: res.Rows, Reg: res.Reg, Query: res.Query},
-		Timing:           res.Timing,
-		RecordsProcessed: res.RecordsProcessed,
-	}, nil
+	if st := x.Plan.Stats(); st.CacheHits+st.CacheMisses+st.CacheIncremental > 0 {
+		aq.CacheStats(uint64(st.CacheHits), uint64(st.CacheMisses), uint64(st.CacheIncremental))
+	}
+	return res, nil
 }
 
-// countingReader counts consumed bytes for the read span's bytes arg.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// ExplainFiles executes an EXPLAIN or EXPLAIN ANALYZE statement against
-// the given .cali files and returns the rendered plan. With ranks > 0 the
-// plan describes (and, for ANALYZE, measures) the parallel query
-// application; otherwise the serial path. EXPLAIN resolves the plan
-// without touching the inputs; EXPLAIN ANALYZE runs the wrapped query
-// with span tracing scoped to the run and annotates each plan node with
-// measured wall time, record counts, and byte counts.
-func ExplainFiles(queryText string, files []string, ranks int) (string, error) {
-	return ExplainFilesJobs(queryText, files, ranks, 1)
-}
-
-// ExplainFilesJobs is ExplainFiles with a sharded-execution worker count:
-// with ranks == 0 and jobs != 1 the plan describes (and, for ANALYZE,
-// measures) the sharded multi-core path with that many workers (jobs <= 0
-// resolves to one worker per CPU, capped at the file count, matching
-// QueryFilesJobs). Ranks take precedence: the emulated-MPI path has its
-// own internal parallelism.
-func ExplainFilesJobs(queryText string, files []string, ranks, jobs int) (string, error) {
-	return ExplainFilesOpts(queryText, files, ranks, jobs, Options{})
-}
-
-// ExplainFilesOpts is ExplainFilesJobs with explicit execution options.
-// The plan's index node reports the prunable conditions and decode
-// projection (or that indexing is disabled); under ANALYZE it carries the
-// measured block skip statistics.
+// ExplainFilesOpts executes an EXPLAIN or EXPLAIN ANALYZE statement
+// against the given .cali files and returns the rendered plan. The plan
+// describes — and, for ANALYZE, measures — the execution QueryFilesJobsOpt
+// (ranks == 0) or QueryFilesParallelOpt (ranks > 0) would run with the
+// same arguments. EXPLAIN resolves the plan without touching the inputs;
+// EXPLAIN ANALYZE runs the wrapped query with span tracing scoped to the
+// run and annotates each plan node with measured wall time, record
+// counts, and byte counts. The plan's index node reports the prunable
+// conditions and decode projection (or that indexing is disabled); under
+// ANALYZE it carries the measured block skip statistics.
 func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts Options) (string, error) {
 	q, err := Parse(queryText)
 	if err != nil {
@@ -340,22 +273,14 @@ func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts O
 	if q.Explain == ExplainNone {
 		return "", fmt.Errorf("calql: not an EXPLAIN statement: %s", queryText)
 	}
-	if jobs <= 0 {
-		jobs = query.DefaultJobs()
-	}
-	if jobs > len(files) {
-		jobs = len(files)
-	}
-	opts := query.PlanOptions{Inputs: len(files), UseIndex: !eopts.NoIndex}
+	mode, jobs := resolve(jobs, ranks, len(files), eopts)
+	opts := query.PlanOptions{Inputs: len(files), UseIndex: !eopts.NoIndex, Jobs: jobs}
 	if dir := eopts.cacheDir(); dir != "" {
 		opts.Cache = true
 		opts.CacheDir = dir
 	}
-	if ranks > 0 {
-		opts.Ranks = ranks
-		opts.Fanin = 2
-	} else if jobs > 1 {
-		opts.Jobs = jobs
+	if mode == query.MPI {
+		opts.Ranks = ranks // BuildPlan's default fan-in is pquery's: 2
 	}
 	plan, err := query.BuildPlan(q, opts)
 	if err != nil {
@@ -366,27 +291,9 @@ func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts O
 		// concurrent collection (e.g. a -trace flag) keeps its spans
 		prev := trace.SetEnabled(true)
 		mark := trace.Mark()
-		innerText := q.WithoutExplain().String()
-		var runErr error
-		switch {
-		case ranks > 0:
-			var res *ParallelResult
-			res, runErr = QueryFilesParallelOpt(innerText, files, ranks, eopts)
-			if runErr == nil {
-				runErr = res.Render(io.Discard)
-			}
-		case jobs > 1:
-			var res *Resultset
-			res, runErr = QueryFilesJobsOpt(innerText, files, jobs, eopts)
-			if runErr == nil {
-				runErr = res.Render(io.Discard)
-			}
-		default:
-			var res *Resultset
-			res, runErr = QueryFilesOpt(innerText, files, eopts)
-			if runErr == nil {
-				runErr = res.Render(io.Discard)
-			}
+		res, runErr := run(q.WithoutExplain().String(), files, jobs, ranks, eopts)
+		if runErr == nil {
+			runErr = res.Render(io.Discard)
 		}
 		spans := trace.Since(mark)
 		trace.SetEnabled(prev)
@@ -395,7 +302,7 @@ func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts O
 		}
 		plan.Annotate(spans)
 	}
-	var sb stringsBuilder
+	var sb strings.Builder
 	if err := plan.Write(&sb); err != nil {
 		return "", err
 	}

@@ -3,8 +3,10 @@ package calql
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"caligo/caliper"
 )
@@ -70,7 +72,7 @@ func TestQueryFilesParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := QueryFilesParallel(q, files, 4)
+	par, err := QueryFilesParallelOpt(q, files, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +94,14 @@ func TestQueryFilesParallelDefaults(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "a.cali")
 	writeDataset(t, p, 0)
-	res, err := QueryFilesParallel("AGGREGATE count GROUP BY kernel", []string{p}, 0)
+	res, err := QueryFilesParallelOpt("AGGREGATE count GROUP BY kernel", []string{p}, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) == 0 {
 		t.Error("no rows")
 	}
-	if _, err := QueryFilesParallel("AGGREGATE count", nil, 0); err == nil {
+	if _, err := QueryFilesParallelOpt("AGGREGATE count", nil, 0, Options{}); err == nil {
 		t.Error("no files should error")
 	}
 }
@@ -131,18 +133,57 @@ func TestQueryChannel(t *testing.T) {
 	}
 }
 
+// TestQueryFilesErrors checks that errors surface the same way in every
+// execution mode: a bad query, a missing file and a corrupt file among
+// good ones each return promptly with an error — naming the offending
+// file — and leave no worker or rank goroutine behind.
 func TestQueryFilesErrors(t *testing.T) {
-	if _, err := QueryFiles("FROB", nil); err == nil {
-		t.Error("bad query should error")
-	}
-	if _, err := QueryFiles("AGGREGATE count", []string{"/nonexistent/file.cali"}); err == nil {
-		t.Error("missing file should error")
-	}
 	dir := t.TempDir()
+	var good []string
+	for r := 0; r < 4; r++ {
+		p := filepath.Join(dir, "rank"+string(rune('0'+r))+".cali")
+		writeDataset(t, p, r)
+		good = append(good, p)
+	}
 	bad := filepath.Join(dir, "bad.cali")
-	os.WriteFile(bad, []byte("__rec=ctx,ref=1\n"), 0o644)
-	if _, err := QueryFiles("AGGREGATE count", []string{bad}); err == nil {
-		t.Error("corrupt file should error")
+	if err := os.WriteFile(bad, []byte("__rec=ctx,ref=1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing.cali")
+	with := func(f string) []string { return []string{good[0], good[1], f, good[2], good[3]} }
+
+	modes := []struct {
+		name        string
+		jobs, ranks int
+	}{{"serial", 1, 0}, {"jobs=3", 3, 0}, {"ranks=3", 1, 3}}
+	cases := []struct {
+		name, query string
+		files       []string
+		wantInErr   string
+	}{
+		{"bad query", "FROB", good, ""},
+		{"missing file", "AGGREGATE count", with(missing), missing},
+		{"corrupt file", "AGGREGATE count", with(bad), bad},
+	}
+	before := runtime.NumGoroutine()
+	for _, m := range modes {
+		for _, c := range cases {
+			_, err := run(c.query, c.files, m.jobs, m.ranks, Options{})
+			if err == nil {
+				t.Errorf("%s, %s: no error", m.name, c.name)
+			} else if !strings.Contains(err.Error(), c.wantInErr) {
+				t.Errorf("%s, %s: error %q does not name %s", m.name, c.name, err, c.wantInErr)
+			}
+		}
+	}
+	// every worker and rank is joined before run returns; give exiting
+	// goroutines a moment to be reaped before counting
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines before the failing queries, %d after", before, n)
 	}
 }
 

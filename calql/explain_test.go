@@ -23,9 +23,9 @@ func explainDataset(t *testing.T, ranks int) []string {
 
 func TestExplainFilesPlanOnly(t *testing.T) {
 	// EXPLAIN must not read the inputs: nonexistent files are fine
-	out, err := ExplainFiles(
+	out, err := ExplainFilesOpts(
 		"EXPLAIN AGGREGATE count, sum(time.duration) WHERE kernel=advec GROUP BY kernel FORMAT csv",
-		[]string{"/nonexistent/a.cali", "/nonexistent/b.cali"}, 0)
+		[]string{"/nonexistent/a.cali", "/nonexistent/b.cali"}, 0, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func TestExplainFilesPlanOnly(t *testing.T) {
 
 func TestExplainFilesAnalyzeSerial(t *testing.T) {
 	files := explainDataset(t, 3)
-	out, err := ExplainFiles(
-		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0)
+	out, err := ExplainFilesOpts(
+		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +63,8 @@ func TestExplainFilesAnalyzeSerial(t *testing.T) {
 
 func TestExplainFilesAnalyzeParallel(t *testing.T) {
 	files := explainDataset(t, 4)
-	out, err := ExplainFiles(
-		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 4)
+	out, err := ExplainFilesOpts(
+		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 4, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +78,15 @@ func TestExplainFilesAnalyzeParallel(t *testing.T) {
 }
 
 func TestExplainFilesErrors(t *testing.T) {
-	if _, err := ExplainFiles("SELECT *", nil, 0); err == nil {
+	if _, err := ExplainFilesOpts("SELECT *", nil, 0, 1, Options{}); err == nil {
 		t.Error("non-EXPLAIN statement accepted")
 	}
-	if _, err := ExplainFiles("EXPLAIN GROUP BY k", nil, 0); err == nil {
+	if _, err := ExplainFilesOpts("EXPLAIN GROUP BY k", nil, 0, 1, Options{}); err == nil {
 		t.Error("invalid inner query accepted")
 	}
-	if _, err := ExplainFiles(
+	if _, err := ExplainFilesOpts(
 		"EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel",
-		[]string{"/nonexistent/a.cali"}, 0); err == nil {
+		[]string{"/nonexistent/a.cali"}, 0, 1, Options{}); err == nil {
 		t.Error("EXPLAIN ANALYZE over missing input should fail")
 	}
 }
@@ -95,7 +95,7 @@ func TestExplainFilesRestoresTracingState(t *testing.T) {
 	files := explainDataset(t, 1)
 	prev := trace.SetEnabled(false)
 	t.Cleanup(func() { trace.SetEnabled(prev) })
-	if _, err := ExplainFiles("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", files, 0); err != nil {
+	if _, err := ExplainFilesOpts("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", files, 0, 1, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if trace.Enabled() {

@@ -3,10 +3,12 @@ package calql
 import (
 	"fmt"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"caligo/caliper"
+	"caligo/internal/calformat"
 )
 
 // writeDatasetN writes one .cali dataset with n begin/end pairs, so test
@@ -70,7 +72,7 @@ func TestQueryFilesJobsMatchesSerial(t *testing.T) {
 		}
 		want := serial.String()
 		for _, jobs := range []int{1, 3, 8} {
-			rs, err := QueryFilesJobs(q, files, jobs)
+			rs, err := QueryFilesJobsOpt(q, files, jobs, Options{})
 			if err != nil {
 				t.Fatalf("jobs=%d %q: %v", jobs, q, err)
 			}
@@ -87,7 +89,7 @@ func TestQueryFilesJobsMatchesSerial(t *testing.T) {
 func TestQueryFilesJobsDefaults(t *testing.T) {
 	files := shardedFiles(t, 2)
 	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
-	rs, err := QueryFilesJobs(q, files, 0)
+	rs, err := QueryFilesJobsOpt(q, files, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestQueryFilesJobsDefaults(t *testing.T) {
 	if rs.String() != serial.String() {
 		t.Error("default-jobs output differs from serial")
 	}
-	one, err := QueryFilesJobs("AGGREGATE count GROUP BY kernel", files[:1], 8)
+	one, err := QueryFilesJobsOpt("AGGREGATE count GROUP BY kernel", files[:1], 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestQueryFilesJobsConcurrentMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := QueryFilesJobs(q, files, 16)
+	sharded, err := QueryFilesJobsOpt(q, files, 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +134,8 @@ func TestQueryFilesJobsConcurrentMerge(t *testing.T) {
 // attributes measured spans to them.
 func TestExplainFilesJobs(t *testing.T) {
 	files := shardedFiles(t, 4)
-	out, err := ExplainFilesJobs(
-		"EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0, 4)
+	out, err := ExplainFilesOpts(
+		"EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +145,8 @@ func TestExplainFilesJobs(t *testing.T) {
 		}
 	}
 
-	out, err = ExplainFilesJobs(
-		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0, 4)
+	out, err = ExplainFilesOpts(
+		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +158,36 @@ func TestExplainFilesJobs(t *testing.T) {
 		t.Errorf("EXPLAIN ANALYZE span counts missing (want spans=4 shard, spans=3 merge):\n%s", out)
 	}
 	// jobs == 1 keeps the serial plan shape
-	out, err = ExplainFilesJobs(
-		"EXPLAIN AGGREGATE count GROUP BY kernel", files, 0, 1)
+	out, err = ExplainFilesOpts(
+		"EXPLAIN AGGREGATE count GROUP BY kernel", files, 0, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "execution: serial") || strings.Contains(out, "-> shard") {
 		t.Errorf("jobs=1 EXPLAIN should be serial:\n%s", out)
+	}
+
+	// one indexed file still shards — its block ranges are the units — so
+	// EXPLAIN must resolve -j as the executor does, not clamp it to the
+	// file count and describe (and measure) a serial run
+	one := files[:1]
+	idx, err := calformat.BuildFileIndex(one[0], calformat.IndexOptions{BlockRecords: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Blocks) < 4 {
+		t.Fatalf("dataset too small: %d blocks", len(idx.Blocks))
+	}
+	if err := calformat.WriteIndexFile(one[0], idx); err != nil {
+		t.Fatal(err)
+	}
+	out, err = ExplainFilesOpts(
+		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", one, 0, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "sharded (4 parallel workers") ||
+		!regexp.MustCompile(`-> shard.*\n\s+spans=4 `).MatchString(out) {
+		t.Errorf("one indexed file, jobs=4: EXPLAIN ANALYZE should show 4 shard workers:\n%s", out)
 	}
 }

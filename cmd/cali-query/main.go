@@ -1,7 +1,8 @@
 // Command cali-query is the off-line query application of Section IV-C:
 // it runs a query in the aggregation description language over one or more
-// .cali datasets, either serially or with the emulated-MPI parallel
-// cross-process reduction.
+// .cali datasets — on one worker, on -j in-process workers, or on
+// -parallel emulated MPI ranks with the cross-process tree reduction. All
+// three are the same executor and print the same bytes.
 //
 // Usage:
 //
@@ -164,15 +165,7 @@ func runQuery(queryText string, files []string, parallel, jobs int, showTiming b
 		return nil
 	}
 
-	if jobs != 1 {
-		res, err := calql.QueryFilesJobsOpt(queryText, files, jobs, opts)
-		if err != nil {
-			return err
-		}
-		return res.Render(os.Stdout)
-	}
-
-	res, err := calql.QueryFilesOpt(queryText, files, opts)
+	res, err := calql.QueryFilesJobsOpt(queryText, files, jobs, opts)
 	if err != nil {
 		return err
 	}

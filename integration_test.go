@@ -67,7 +67,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if len(serial.Rows) == 0 {
 		t.Fatal("no result rows")
 	}
-	par, err := calql.QueryFilesParallel(q, files, 4)
+	par, err := calql.QueryFilesParallelOpt(q, files, 4, calql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

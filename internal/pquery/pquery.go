@@ -13,6 +13,7 @@ package pquery
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -23,11 +24,9 @@ import (
 	"caligo/internal/contexttree"
 	"caligo/internal/core"
 	"caligo/internal/mpi"
-	"caligo/internal/obs"
 	"caligo/internal/query"
 	"caligo/internal/snapshot"
 	"caligo/internal/telemetry"
-	"caligo/internal/trace"
 )
 
 // Self-instrumentation (see docs/OBSERVABILITY.md). All metrics are
@@ -56,7 +55,6 @@ type Timing struct {
 type Result struct {
 	Rows   []snapshot.FlatRecord
 	Reg    *attr.Registry // registry the rows resolve against
-	Query  *calql.Query
 	Timing Timing
 	// RecordsProcessed counts input records across all ranks.
 	RecordsProcessed uint64
@@ -66,23 +64,7 @@ type Result struct {
 // .cali stream data. Returning a nil reader means the rank has no input.
 type InputProvider func(rank int) (io.ReadCloser, error)
 
-// FilesProvider supplies the .cali file paths assigned to one rank. An
-// empty slice means the rank has no input. File-based input goes through
-// the index-aware scan layer: sidecar block indexes prune files and
-// blocks the query cannot match and projection pushdown trims decoding.
-type FilesProvider func(rank int) []string
-
-// rankInput selects a rank's input source: exactly one of provider or
-// files is set. plan is shared across ranks (its stats are
-// mutex-protected); each rank still owns a private registry and tree.
-type rankInput struct {
-	provider InputProvider
-	files    FilesProvider
-	opts     query.ScanOptions
-	plan     *query.ScanPlan
-}
-
-// reduceFanin is the tree arity; the paper uses a binary ("logarithmic")
+// defaultFanin is the tree arity; the paper uses a binary ("logarithmic")
 // reduction. RunFanin exposes other arities for the ablation bench.
 const defaultFanin = 2
 
@@ -105,52 +87,49 @@ const (
 // Run executes the query across the world, assigning each rank the input
 // from provider, and returns the root's result.
 func Run(world *mpi.World, queryText string, provider InputProvider) (*Result, error) {
-	return RunObs(world, queryText, provider, defaultFanin, nil)
+	return RunFanin(world, queryText, provider, defaultFanin)
 }
 
-// RunFanin is Run with a configurable reduction-tree fan-in.
+// RunFanin is Run with a configurable reduction-tree fan-in (fanin <= 0
+// selects the default binary tree).
 func RunFanin(world *mpi.World, queryText string, provider InputProvider, fanin int) (*Result, error) {
-	return RunObs(world, queryText, provider, fanin, nil)
-}
-
-// RunObs is RunFanin with per-query attribution: every rank's record and
-// byte throughput is accounted into aq (nil disables attribution at zero
-// cost), and the query ID is stamped on the per-rank spans so traces
-// correlate with the slow-query log. fanin <= 0 selects the default
-// binary tree.
-func RunObs(world *mpi.World, queryText string, provider InputProvider, fanin int, aq *obs.ActiveQuery) (*Result, error) {
-	return run(world, queryText, rankInput{provider: provider}, fanin, aq)
-}
-
-// RunFilesObs is RunObs with file-path input: each rank scans its files
-// through the index-aware scan layer (opts controls index use), so
-// indexed files get block pruning and projection pushdown on every rank.
-func RunFilesObs(world *mpi.World, queryText string, files FilesProvider, fanin int, aq *obs.ActiveQuery, opts query.ScanOptions) (*Result, error) {
-	return run(world, queryText, rankInput{files: files, opts: opts}, fanin, aq)
-}
-
-func run(world *mpi.World, queryText string, in rankInput, fanin int, aq *obs.ActiveQuery) (*Result, error) {
-	if fanin <= 0 {
-		fanin = defaultFanin
-	}
 	q, err := calql.Parse(queryText)
 	if err != nil {
 		return nil, err
 	}
-	if in.files != nil {
-		in.plan = query.NewScanPlan(q, in.opts)
+	x := query.NewExec(q, query.ScanOptions{}, query.MPI, nil)
+	return run(world, x, fanin, func(rank int) (query.Input, error) {
+		in, err := provider(rank)
+		return query.Input{Stream: in}, err
+	})
+}
+
+// RunFiles executes x's query across the world over .cali files, which
+// are distributed round-robin — rank r reads files r, r+size, ... — one
+// subset per rank, as in the paper's weak-scaling setup. Each rank scans
+// its subset through x's index- and cache-aware scan plan.
+func RunFiles(world *mpi.World, x *query.Exec, files []string) (*Result, error) {
+	return run(world, x, defaultFanin, func(rank int) (query.Input, error) {
+		var in query.Input
+		for i := rank; i < len(files); i += world.Size() {
+			in.Files = append(in.Files, files[i])
+		}
+		return in, nil
+	})
+}
+
+func run(world *mpi.World, x *query.Exec, fanin int, input func(rank int) (query.Input, error)) (*Result, error) {
+	if fanin <= 0 {
+		fanin = defaultFanin
 	}
 	var result *Result
 	start := time.Now()
-	err = world.Run(func(c *mpi.Comm) error {
-		res, err := runRank(c, q, in, fanin, aq)
-		if err != nil {
-			return err
-		}
+	err := world.Run(func(c *mpi.Comm) error {
+		res, err := runRank(c, x, fanin, input)
 		if c.Rank() == 0 {
 			result = res
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -158,125 +137,27 @@ func run(world *mpi.World, queryText string, in rankInput, fanin int, aq *obs.Ac
 	if result == nil {
 		return nil, fmt.Errorf("pquery: no result produced at root")
 	}
-	if in.plan != nil {
-		if st := in.plan.Stats(); st.CacheHits+st.CacheMisses+st.CacheIncremental > 0 {
-			aq.CacheStats(uint64(st.CacheHits), uint64(st.CacheMisses), uint64(st.CacheIncremental))
-		}
-	}
 	result.Timing.TotalWall = time.Since(start)
 	return result, nil
 }
 
-// runRank is the per-rank program: local aggregation, then tree reduce.
-func runRank(c *mpi.Comm, q *calql.Query, input rankInput, fanin int, aq *obs.ActiveQuery) (*Result, error) {
-	// Each rank has its own registry — per-process address spaces, as in
-	// the real tool.
-	reg := attr.NewRegistry()
-	eng, err := query.New(q, reg)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 1: stream process-local input through the engine with one
-	// reused record (no whole-dataset buffering). Both phase spans still
-	// appear — aggregate nested inside read — so EXPLAIN ANALYZE keeps the
-	// same per-rank phase structure.
+// runRank is the per-rank program: the executor's local phase over the
+// rank's input, then the tree reduce.
+func runRank(c *mpi.Comm, x *query.Exec, fanin int, input func(rank int) (query.Input, error)) (*Result, error) {
 	localStart := time.Now()
-	var processed uint64
-	qid := aq.ID()
-	if input.files != nil {
-		if fl := input.files(c.Rank()); len(fl) > 0 {
-			rsp := trace.BeginRank("pquery.read", c.Rank())
-			asp := trace.BeginRank("pquery.aggregate", c.Rank())
-			if qid != 0 {
-				rsp.ArgInt("qid", int64(qid))
-				asp.ArgInt("qid", int64(qid))
-			}
-			n, nb, err := input.plan.ScanFiles(eng, fl, reg, nil)
-			if err != nil {
-				asp.End()
-				rsp.End()
-				return nil, fmt.Errorf("rank %d: read input: %w", c.Rank(), err)
-			}
-			processed = uint64(n)
-			asp.ArgInt("records_in", int64(n))
-			asp.ArgInt("records_out", int64(eng.Size()))
-			asp.End()
-			rsp.ArgInt("records", int64(n))
-			rsp.ArgInt("bytes", nb)
-			rsp.End()
-			aq.AddRecords(processed)
-			aq.AddBytes(uint64(nb))
-		} else {
-			// No local input: still emit the aggregate phase so every rank
-			// reports the same span set.
-			asp := trace.BeginRank("pquery.aggregate", c.Rank())
-			asp.ArgInt("records_in", 0)
-			asp.ArgInt("records_out", int64(eng.Size()))
-			asp.End()
-		}
-		return finishRank(c, q, eng, reg, fanin, localStart, processed, qid)
-	}
-	in, err := input.provider(c.Rank())
+	in, err := input(c.Rank())
 	if err != nil {
 		return nil, fmt.Errorf("rank %d: open input: %w", c.Rank(), err)
 	}
-	if in != nil {
-		rsp := trace.BeginRank("pquery.read", c.Rank())
-		asp := trace.BeginRank("pquery.aggregate", c.Rank())
-		if qid != 0 {
-			rsp.ArgInt("qid", int64(qid))
-			asp.ArgInt("qid", int64(qid))
-		}
-		cr := &countingReader{r: in}
-		rd := calformat.NewReader(cr, reg, nil)
-		var rec snapshot.FlatRecord // reused across NextInto calls
-		for {
-			err := rd.NextInto(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				asp.End()
-				rsp.End()
-				in.Close()
-				return nil, fmt.Errorf("rank %d: read input: %w", c.Rank(), err)
-			}
-			if err := eng.Process(rec); err != nil {
-				asp.End()
-				rsp.End()
-				in.Close()
-				return nil, err
-			}
-			processed++
-		}
-		asp.ArgInt("records_in", int64(processed))
-		asp.ArgInt("records_out", int64(eng.Size()))
-		asp.End()
-		rsp.ArgInt("records", int64(processed))
-		rsp.ArgInt("bytes", cr.n)
-		rsp.End()
-		aq.AddRecords(processed)
-		aq.AddBytes(uint64(cr.n))
-		if err := in.Close(); err != nil {
-			return nil, err
-		}
-	} else {
-		// No local input: still emit the aggregate phase so every rank
-		// reports the same span set.
-		asp := trace.BeginRank("pquery.aggregate", c.Rank())
-		asp.ArgInt("records_in", 0)
-		asp.ArgInt("records_out", int64(eng.Size()))
-		asp.End()
+	// Each rank has its own registry — per-process address spaces, as in
+	// the real tool.
+	reg := attr.NewRegistry()
+	eng, n, err := x.Local(reg, in, 1, c.Rank())
+	if err != nil {
+		return nil, fmt.Errorf("rank %d: read input: %w", c.Rank(), err)
 	}
-	return finishRank(c, q, eng, reg, fanin, localStart, processed, qid)
-}
-
-// finishRank closes a rank's local phase (wall/virtual clocks, telemetry)
-// and runs the cross-rank combination step.
-func finishRank(c *mpi.Comm, q *calql.Query, eng *query.Engine, reg *attr.Registry,
-	fanin int, localStart time.Time, processed, qid uint64) (*Result, error) {
 	localWall := time.Since(localStart)
+	processed := uint64(n)
 	telRecords.Add(processed)
 	telLocalNS.Observe(localWall.Nanoseconds())
 	// charge the local phase to the virtual clock with the deterministic
@@ -284,83 +165,65 @@ func finishRank(c *mpi.Comm, q *calql.Query, eng *query.Engine, reg *attr.Regist
 	c.Advance(float64(processed) * perRecordNs)
 	localVirt := c.Clock()
 
-	var res *Result
-	var err error
-	if q.HasAggregation() {
-		res, err = reduceAggregated(c, q, eng, fanin, localWall, localVirt, processed, qid)
+	var res *Result // the root's; nil elsewhere
+	if x.Q.HasAggregation() {
+		res, err = reduceAggregated(c, x, eng, fanin, processed)
 	} else {
-		res, err = gatherRows(c, q, eng, reg, localWall, localVirt, processed, qid)
+		res, err = gatherRows(c, x, eng, reg, processed)
 	}
 	if err != nil {
 		return nil, err
+	}
+	if res != nil {
+		res.Rows = query.Finalize(x.Q, res.Reg, res.Rows)
+		res.Timing = Timing{
+			LocalWall:  localWall,
+			LocalVirt:  localVirt,
+			ReduceVirt: c.Clock() - localVirt,
+			TotalVirt:  c.Clock(),
+		}
 	}
 	// After the data reduction, run one telemetry-reduction epoch over the
 	// dedicated tag space: per-rank query stats merge into the cluster-wide
 	// observability view (/debug/cluster). Gated on the process-global
 	// telemetry switch, so the collective stays uniform across ranks.
 	if telemetry.Enabled() {
-		if terr := telemetryEpoch(c, fanin, processed, localWall); terr != nil {
-			return nil, terr
+		if err := telemetryEpoch(c, fanin, processed, localWall); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
 }
 
-// countingReader counts bytes consumed from the underlying reader, for
-// the read span's bytes attribute.
-type countingReader struct {
-	r io.Reader
-	n int64
+// encodePayload frames a rank's state — an encoded aggregation database,
+// or gathered rows as a .cali fragment — with its processed-record count.
+func encodePayload(state []byte, processed uint64) []byte {
+	out := make([]byte, 0, 8+len(state))
+	out = binary.LittleEndian.AppendUint64(out, processed)
+	return append(out, state...)
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// countedPayload frames a DB state with the rank-processed record count.
-type countedPayload struct {
-	state     []byte
-	processed uint64
-}
-
-func encodePayload(p countedPayload) []byte {
-	out := make([]byte, 8+len(p.state))
-	for i := 0; i < 8; i++ {
-		out[i] = byte(p.processed >> (8 * i))
-	}
-	copy(out[8:], p.state)
-	return out
-}
-
-func decodePayload(b []byte) (countedPayload, error) {
+func decodePayload(b []byte) (state []byte, processed uint64, err error) {
 	if len(b) < 8 {
-		return countedPayload{}, fmt.Errorf("pquery: truncated payload")
+		return nil, 0, fmt.Errorf("pquery: truncated payload")
 	}
-	var n uint64
-	for i := 0; i < 8; i++ {
-		n |= uint64(b[i]) << (8 * i)
-	}
-	return countedPayload{state: b[8:], processed: n}, nil
+	return b[8:], binary.LittleEndian.Uint64(b), nil
 }
 
 // reduceAggregated performs the tree reduction of aggregation databases.
-func reduceAggregated(c *mpi.Comm, q *calql.Query, eng *query.Engine, fanin int,
-	localWall time.Duration, localVirt float64, processed, qid uint64) (*Result, error) {
-
+// On the root it returns the merged rows, not yet finalized, with the
+// registry they resolve against and the record count summed over the
+// ranks; on the other ranks, nil.
+func reduceAggregated(c *mpi.Comm, x *query.Exec, eng *query.Engine, fanin int, processed uint64) (*Result, error) {
 	scheme := eng.DB().Scheme()
-	payload := encodePayload(countedPayload{
-		state:     eng.DB().EncodeState(),
-		processed: processed,
-	})
+	payload := encodePayload(eng.DB().EncodeState(), processed)
 
 	combine := func(a, b []byte) ([]byte, error) {
-		pa, err := decodePayload(a)
+		sa, na, err := decodePayload(a)
 		if err != nil {
 			return nil, err
 		}
-		pb, err := decodePayload(b)
+		sb, nb, err := decodePayload(b)
 		if err != nil {
 			return nil, err
 		}
@@ -369,85 +232,55 @@ func reduceAggregated(c *mpi.Comm, q *calql.Query, eng *query.Engine, fanin int,
 		if err != nil {
 			return nil, err
 		}
-		if err := db.MergeEncodedState(pa.state); err != nil {
+		if err := db.MergeEncodedState(sa); err != nil {
 			return nil, err
 		}
-		if err := db.MergeEncodedState(pb.state); err != nil {
+		if err := db.MergeEncodedState(sb); err != nil {
 			return nil, err
 		}
-		out := encodePayload(countedPayload{
-			state:     db.EncodeState(),
-			processed: pa.processed + pb.processed,
-		})
+		out := encodePayload(db.EncodeState(), na+nb)
 		// charge merge compute to the combining rank's virtual clock
 		// (deterministic model, see mergeBaseNs/perBucketNs)
 		c.Advance(mergeBaseNs + perBucketNs*float64(db.Len()))
 		return out, nil
 	}
 
-	var reduceStart time.Time
-	if telemetry.Enabled() {
-		reduceStart = time.Now()
-	}
-	sp := trace.BeginRank("pquery.reduce", c.Rank())
-	if qid != 0 {
-		sp.ArgInt("qid", int64(qid))
-	}
+	reduceStart := time.Now()
+	sp := x.Span("pquery.reduce", c.Rank())
+	defer sp.End()
 	sp.ArgInt("bytes", int64(len(payload)))
 	final, err := c.ReduceFanin(0, payload, combine, fanin)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	if !reduceStart.IsZero() {
-		telReduceNS.Observe(time.Since(reduceStart).Nanoseconds())
-	}
+	telReduceNS.Observe(time.Since(reduceStart).Nanoseconds())
 	if c.Rank() != 0 {
-		sp.End()
 		return nil, nil
 	}
-	p, err := decodePayload(final)
+	state, total, err := decodePayload(final)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
 	rootReg := attr.NewRegistry()
 	rootDB, err := core.NewDB(scheme, rootReg)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	if err := rootDB.MergeEncodedState(p.state); err != nil {
-		sp.End()
+	if err := rootDB.MergeEncodedState(state); err != nil {
 		return nil, err
 	}
 	rows, err := rootDB.FlushRecords()
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
 	sp.ArgInt("rows", int64(len(rows)))
-	sp.End()
-	rows = query.Finalize(q, rootReg, rows)
-	return &Result{
-		Rows:             rows,
-		Reg:              rootReg,
-		Query:            q,
-		RecordsProcessed: p.processed,
-		Timing: Timing{
-			LocalWall:  localWall,
-			LocalVirt:  localVirt,
-			ReduceVirt: c.Clock() - localVirt,
-			TotalVirt:  c.Clock(),
-		},
-	}, nil
+	return &Result{Rows: rows, Reg: rootReg, RecordsProcessed: total}, nil
 }
 
 // gatherRows collects filtered rows at the root for non-aggregating
-// queries, encoded as .cali stream fragments.
-func gatherRows(c *mpi.Comm, q *calql.Query, eng *query.Engine, reg *attr.Registry,
-	localWall time.Duration, localVirt float64, processed, qid uint64) (*Result, error) {
-
+// queries, encoded as .cali stream fragments. It returns what
+// reduceAggregated does.
+func gatherRows(c *mpi.Comm, x *query.Exec, eng *query.Engine, reg *attr.Registry, processed uint64) (*Result, error) {
 	rows, err := eng.Results()
 	if err != nil {
 		return nil, err
@@ -463,51 +296,29 @@ func gatherRows(c *mpi.Comm, q *calql.Query, eng *query.Engine, reg *attr.Regist
 		return nil, err
 	}
 	blob := buf.Bytes()
-	sp := trace.BeginRank("pquery.reduce", c.Rank())
-	if qid != 0 {
-		sp.ArgInt("qid", int64(qid))
-	}
+	sp := x.Span("pquery.reduce", c.Rank())
+	defer sp.End()
 	sp.ArgInt("bytes", int64(len(blob)))
-	gathered, err := c.Gather(0, encodePayload(countedPayload{state: blob, processed: processed}))
-	if err != nil {
-		sp.End()
+	gathered, err := c.Gather(0, encodePayload(blob, processed))
+	if err != nil || c.Rank() != 0 {
 		return nil, err
-	}
-	if c.Rank() != 0 {
-		sp.End()
-		return nil, nil
 	}
 	rootReg := attr.NewRegistry()
 	var all []snapshot.FlatRecord
 	var total uint64
 	for _, g := range gathered {
-		p, err := decodePayload(g)
+		blob, n, err := decodePayload(g)
 		if err != nil {
-			sp.End()
 			return nil, err
 		}
-		total += p.processed
-		rd := calformat.NewReader(bytes.NewReader(p.state), rootReg, nil)
+		total += n
+		rd := calformat.NewReader(bytes.NewReader(blob), rootReg, nil)
 		recs, err := rd.ReadAll()
 		if err != nil {
-			sp.End()
 			return nil, err
 		}
 		all = append(all, recs...)
 	}
 	sp.ArgInt("rows", int64(len(all)))
-	sp.End()
-	all = query.Finalize(q, rootReg, all)
-	return &Result{
-		Rows:             all,
-		Reg:              rootReg,
-		Query:            q,
-		RecordsProcessed: total,
-		Timing: Timing{
-			LocalWall:  localWall,
-			LocalVirt:  localVirt,
-			ReduceVirt: c.Clock() - localVirt,
-			TotalVirt:  c.Clock(),
-		},
-	}, nil
+	return &Result{Rows: all, Reg: rootReg, RecordsProcessed: total}, nil
 }

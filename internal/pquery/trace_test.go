@@ -87,14 +87,15 @@ func TestTracingOnOffEquivalence(t *testing.T) {
 
 // TestTracingDisabledZeroAlloc proves the kill switch's core guarantee:
 // with tracing disabled, the exact span sequences on the pipeline's hot
-// paths — the per-rank read/aggregate spans of runRank and the
-// caliper.snapshot span taken on every snapshot — allocate nothing.
+// paths — the read/aggregate spans of a rank's local phase
+// (query.Exec.Local) and the caliper.snapshot span taken on every
+// snapshot — allocate nothing.
 func TestTracingDisabledZeroAlloc(t *testing.T) {
 	prev := trace.SetEnabled(false)
 	t.Cleanup(func() { trace.SetEnabled(prev) })
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		// runRank's phase-1 sequence
+		// a rank's local-phase sequence
 		rsp := trace.BeginRank("pquery.read", 3)
 		rsp.ArgInt("records", 128)
 		rsp.ArgInt("bytes", 65536)

@@ -26,7 +26,6 @@ package query
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"caligo/internal/attr"
@@ -49,14 +48,6 @@ const (
 // fragmented than this records one whole-prefix span instead (the
 // incremental scan then text-scans the prefix rather than seeking).
 const maxMetaSpans = 64
-
-// missMode tags units planned outside the cache classification switch.
-func (p *ScanPlan) missMode() int {
-	if p.cache != nil {
-		return cacheMissMode
-	}
-	return cacheNone
-}
 
 // noteCacheFallback records one degraded cache path.
 func (p *ScanPlan) noteCacheFallback() {
@@ -102,38 +93,53 @@ func (p *ScanPlan) planCache(file string) (int, *qcache.Entry) {
 	return cacheIncrMode, e
 }
 
-// scanCacheHit serves a unit entirely from cached state. The blob is
-// validated into a private database first, so a bad entry cannot leave
-// the engine half-merged — it degrades to a stored full scan instead.
-func (p *ScanPlan) scanCacheHit(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
-	e := u.cacheEntry
+// seeded returns a private engine holding the unit's cached state, the
+// starting point of the hit and incremental paths. The blob is validated
+// into the private database first, so a bad entry cannot leave eng
+// half-merged; nil means the entry is unusable — the fallback is noted,
+// and the caller rescans the unit as a miss.
+func (p *ScanPlan) seeded(eng *Engine, u Unit, reg *attr.Registry) *Engine {
 	priv, err := New(p.q, reg)
 	if err == nil && priv.db != nil && eng.db != nil {
-		err = priv.db.MergeEncodedState(e.State)
+		err = priv.db.MergeEncodedState(u.cacheEntry.State)
 	} else if err == nil {
-		err = fmt.Errorf("query: cache hit on non-aggregating engine")
+		err = fmt.Errorf("query: cache entry on non-aggregating engine")
 	}
 	if err != nil {
 		p.noteCacheFallback()
-		u.cacheMode = cacheMissMode
-		u.cacheEntry = nil
+		return nil
+	}
+	return priv
+}
+
+// noteBytesSkipped accounts the file prefix cached state stood in for.
+func (p *ScanPlan) noteBytesSkipped(n int64) {
+	p.mu.Lock()
+	p.stats.CacheBytesSkipped += n
+	p.mu.Unlock()
+	qcache.TelBytesSkipped.Add(uint64(n))
+	sp := trace.Begin("query.cache")
+	sp.ArgInt("bytes_skipped", n)
+	sp.End()
+}
+
+// scanCacheHit serves a unit entirely from cached state.
+func (p *ScanPlan) scanCacheHit(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
+	priv := p.seeded(eng, u, reg)
+	if priv == nil {
 		return p.scanCacheMiss(eng, u, reg, tree)
 	}
 	if err := eng.db.Merge(priv.db); err != nil {
 		return 0, 0, err
 	}
-	p.mu.Lock()
-	p.stats.CacheBytesSkipped += e.Watermark
-	p.mu.Unlock()
-	qcache.TelBytesSkipped.Add(uint64(e.Watermark))
-	sp := trace.Begin("query.cache")
-	sp.ArgInt("bytes_skipped", e.Watermark)
-	sp.End()
-	return int(e.Records), 0, nil
+	p.noteBytesSkipped(u.cacheEntry.Watermark)
+	return int(u.cacheEntry.Records), 0, nil
 }
 
 // scanCacheMiss scans the unit in full through a private engine, stores
 // the resulting per-file state, and merges it into the caller's engine.
+// It is also where an unusable hit or incremental unit lands: nothing
+// below reads the unit's cache routing.
 func (p *ScanPlan) scanCacheMiss(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	if eng.db == nil {
 		n, bytes, _, err := p.scanUnitInto(eng, u, reg, tree)
@@ -148,10 +154,7 @@ func (p *ScanPlan) scanCacheMiss(eng *Engine, u Unit, reg *attr.Registry, tree *
 		return n, bytes, err
 	}
 	p.putEntry(u.File, priv, endOff, uint64(n), metaSpansOf(u.Idx, endOff))
-	if err := eng.db.Merge(priv.db); err != nil {
-		return n, bytes, err
-	}
-	return n, bytes, nil
+	return n, bytes, eng.db.Merge(priv.db)
 }
 
 // scanCacheIncr seeds a private engine with the cached state, decodes
@@ -159,16 +162,8 @@ func (p *ScanPlan) scanCacheMiss(eng *Engine, u Unit, reg *attr.Registry, tree *
 // watermark. Any replay problem degrades to a stored full scan.
 func (p *ScanPlan) scanCacheIncr(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	e := u.cacheEntry
-	priv, err := New(p.q, reg)
-	if err == nil && priv.db != nil && eng.db != nil {
-		err = priv.db.MergeEncodedState(e.State)
-	} else if err == nil {
-		err = fmt.Errorf("query: cache entry on non-aggregating engine")
-	}
-	if err != nil {
-		p.noteCacheFallback()
-		u.cacheMode = cacheMissMode
-		u.cacheEntry = nil
+	priv := p.seeded(eng, u, reg)
+	if priv == nil {
 		return p.scanCacheMiss(eng, u, reg, tree)
 	}
 	f, err := os.Open(u.File)
@@ -199,28 +194,16 @@ func (p *ScanPlan) scanCacheIncr(eng *Engine, u Unit, reg *attr.Registry, tree *
 	}()
 	if replayErr != nil {
 		p.noteCacheFallback()
-		u.cacheMode = cacheMissMode
-		u.cacheEntry = nil
 		return p.scanCacheMiss(eng, u, reg, tree)
 	}
 	metaBefore := rd.MetaLines()
-	records := 0
 	var rec snapshot.FlatRecord
-	for {
-		err := rd.NextInto(&rec)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return records, rd.Offset() - e.Watermark, fmt.Errorf("%s: %w", u.File, err)
-		}
-		if err := priv.Process(rec); err != nil {
-			return records, rd.Offset() - e.Watermark, err
-		}
-		records++
-	}
+	records, err := drain(rd, priv, &rec, u.File)
 	endOff := rd.Offset()
 	tail := endOff - e.Watermark
+	if err != nil {
+		return records, tail, err
+	}
 	spans := e.MetaSpans
 	if rd.MetaLines() > metaBefore {
 		// the tail holds new definitions: future tails must replay it too
@@ -230,13 +213,7 @@ func (p *ScanPlan) scanCacheIncr(eng *Engine, u Unit, reg *attr.Registry, tree *
 	if err := eng.db.Merge(priv.db); err != nil {
 		return records, tail, err
 	}
-	p.mu.Lock()
-	p.stats.CacheBytesSkipped += e.Watermark
-	p.mu.Unlock()
-	qcache.TelBytesSkipped.Add(uint64(e.Watermark))
-	sp := trace.Begin("query.cache")
-	sp.ArgInt("bytes_skipped", e.Watermark)
-	sp.End()
+	p.noteBytesSkipped(e.Watermark)
 	return int(e.Records) + records, tail, nil
 }
 

@@ -1,0 +1,275 @@
+package query
+
+import (
+	"fmt"
+	"io"
+	"runtime"
+	"sync"
+	"time"
+
+	"caligo/internal/attr"
+	"caligo/internal/calql"
+	"caligo/internal/obs"
+	"caligo/internal/snapshot"
+	"caligo/internal/telemetry"
+	"caligo/internal/trace"
+)
+
+// One executor (DESIGN.md, "Query execution"). The paper's query
+// application (Section IV-C) has a single shape — every process aggregates
+// its own inputs, then partial databases reduce up a tree — and Exec.Local
+// is the first half of it in every mode: scan units go round-robin to
+// workers, each worker drains its units into a private engine — and so a
+// private aggregation-database shard — and the shards fold into worker
+// 0's with the same DB.Merge the cross-process reduction uses. Serial
+// execution is one worker on the caller's goroutine; an emulated MPI rank
+// is one worker over the rank's share of the input, whose engine
+// internal/pquery then reduces across ranks over mpi.Comm.
+//
+// Output is byte-identical for every worker count: unit→worker assignment
+// and the merge order are static functions of (len(units), workers),
+// aggregation state merges exactly (integer sums stay integers), the
+// flush order is the sorted key encoding (insertion-order independent),
+// and non-aggregating rows are reassembled in (file, block) order.
+
+var (
+	telShards  = telemetry.NewCounter("caligo.query.shards")
+	telMergeNS = telemetry.NewCounter("caligo.query.merge.ns")
+)
+
+// Mode is an execution mode. The modes run the same code and differ only
+// in these labels: the obs engine label, the span pair around a whole
+// local phase (aggregate nested in read, so EXPLAIN ANALYZE sees the same
+// phase structure serially and per rank), the span around each worker, and
+// the attribution phase a local phase accounts to. An empty name emits
+// nothing.
+type Mode struct {
+	Engine                         string
+	read, aggregate, worker, phase string
+}
+
+var (
+	Serial  = &Mode{Engine: "serial", read: "query.read", aggregate: "query.aggregate", phase: "read+aggregate"}
+	Sharded = &Mode{Engine: "sharded", worker: "query.shard"}
+	MPI     = &Mode{Engine: "mpi", read: "pquery.read", aggregate: "pquery.aggregate"}
+)
+
+// Workers resolves a requested worker count against the scan units there
+// are to hand out (units < 0: not planned yet): jobs <= 0 means one per
+// CPU — workers are CPU-bound on decoding — and no worker goes without a
+// unit. EXPLAIN and the executor both resolve -j here, so a plan names
+// the worker count its run uses.
+func Workers(jobs, units int) int {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
+	if units >= 0 && jobs > units {
+		jobs = units
+	}
+	if jobs < 1 {
+		jobs = 1
+	}
+	return jobs
+}
+
+// Input is what one local phase scans: .cali files, planned into units
+// through their sidecar indexes and the aggregate cache, or one open .cali
+// stream, read to EOF and closed. The zero Input is a process with
+// nothing to read.
+type Input struct {
+	Files  []string
+	Stream io.ReadCloser
+}
+
+// Exec is one query's execution state, shared by all of its local phases
+// (one per emulated rank, or the only one): the query, the compiled scan
+// plan whose Stats they accumulate into, the mode, and the attribution
+// record (nil when telemetry is off).
+type Exec struct {
+	Q    *calql.Query
+	Plan *ScanPlan
+	mode *Mode
+	aq   *obs.ActiveQuery
+}
+
+// NewExec compiles q's scan plan for a run in the given mode.
+func NewExec(q *calql.Query, opts ScanOptions, mode *Mode, aq *obs.ActiveQuery) *Exec {
+	return &Exec{Q: q, Plan: NewScanPlan(q, opts), mode: mode, aq: aq}
+}
+
+// Span opens a span on rank's lane, stamped with the query ID so traces
+// correlate with the slow-query log. An empty name opens nothing.
+func (x *Exec) Span(name string, rank int) trace.Span {
+	if name == "" {
+		return trace.Span{}
+	}
+	sp := trace.BeginRank(name, rank)
+	if qid := x.aq.ID(); qid != 0 {
+		sp.ArgInt("qid", int64(qid))
+	}
+	return sp
+}
+
+// shard is one worker's outcome.
+type shard struct {
+	eng     *Engine
+	records int
+	bytes   int64
+	err     error
+}
+
+// Local runs one process's local phase: it scans in with up to jobs
+// workers (see Workers) and returns the engine holding the merged result
+// — not finalized, so the caller can reduce it further or call Results —
+// and the number of records read. reg is the process's registry, shared
+// by the workers (it is mutex-protected) so attribute ids, LET
+// definitions and result attributes resolve identically across shards;
+// rank labels the spans.
+func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int, error) {
+	jobs = Workers(jobs, -1)
+	start := time.Now()
+	var rsp trace.Span
+	if in.Stream != nil || len(in.Files) > 0 {
+		// a rank with no input reads nothing, but still reports the
+		// aggregate phase so every rank has the same span set
+		rsp = x.Span(x.mode.read, rank)
+	}
+	asp := x.Span(x.mode.aggregate, rank)
+	defer rsp.End()
+	defer asp.End()
+
+	units := x.Plan.PlanUnits(in.Files, jobs)
+	if in.Stream != nil {
+		units = []Unit{{File: "input stream", stream: in.Stream}}
+	}
+	shards := make([]shard, Workers(jobs, len(units)))
+	if x.mode == Sharded {
+		telShards.Add(uint64(len(shards)))
+	}
+	// per-unit row collection for non-aggregating queries on several
+	// workers: they write disjoint indices, and concatenating in index
+	// order restores the serial (file, record) order (units are sorted by
+	// file, then block)
+	var rowsByUnit [][]snapshot.FlatRecord
+	if len(shards) == 1 {
+		x.work(&shards[0], 0, 1, reg, rank, units, nil)
+	} else {
+		if !x.Q.HasAggregation() {
+			rowsByUnit = make([][]snapshot.FlatRecord, len(units))
+		}
+		var wg sync.WaitGroup
+		for w := range shards {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				x.work(&shards[w], w, len(shards), reg, rank, units, rowsByUnit)
+			}(w)
+		}
+		wg.Wait()
+	}
+	records, bytes := 0, int64(0)
+	for i := range shards {
+		if shards[i].err != nil {
+			return nil, 0, shards[i].err
+		}
+		records += shards[i].records
+		bytes += shards[i].bytes
+	}
+	root := shards[0].eng
+	if err := x.fold(shards, rank); err != nil {
+		return nil, 0, err
+	}
+	for _, rows := range rowsByUnit {
+		root.rows = append(root.rows, rows...)
+	}
+
+	asp.ArgInt("records_in", int64(records))
+	asp.ArgInt("records_out", int64(root.Size()))
+	rsp.ArgInt("files", int64(len(in.Files)))
+	rsp.ArgInt("records", int64(records))
+	rsp.ArgInt("bytes", bytes)
+	if x.mode != Sharded { // shard workers account their own share
+		x.aq.AddRecords(uint64(records))
+		x.aq.AddBytes(uint64(bytes))
+	}
+	if x.mode.phase != "" {
+		x.aq.Phase(x.mode.phase, time.Since(start))
+	}
+	return root, records, nil
+}
+
+// work is one worker: it builds a private engine and drains its
+// round-robin share of the units (w, w+workers, ...) into it.
+func (x *Exec) work(s *shard, w, workers int, reg *attr.Registry, rank int, units []Unit, rowsByUnit [][]snapshot.FlatRecord) {
+	sp := x.Span(x.mode.worker, rank)
+	sp.SetTid(w)
+	defer sp.End()
+	start := time.Now()
+
+	if s.eng, s.err = New(x.Q, reg); s.err != nil {
+		return
+	}
+	nunits := 0
+	for ui := w; ui < len(units); ui += workers {
+		n, nb, err := x.Plan.ScanUnit(s.eng, units[ui], reg, nil)
+		s.records += n
+		s.bytes += nb
+		if err != nil {
+			s.err = err
+			return
+		}
+		if rowsByUnit != nil {
+			// steal the rows collected for this unit so they can be
+			// reassembled in unit order
+			rowsByUnit[ui], s.eng.rows = s.eng.rows, nil
+		}
+		nunits++
+	}
+	sp.ArgInt("worker", int64(w))
+	sp.ArgInt("units", int64(nunits))
+	sp.ArgInt("records", int64(s.records))
+	sp.ArgInt("bytes", s.bytes)
+	if x.mode == Sharded {
+		x.aq.ShardDone(time.Since(start), uint64(s.records), uint64(s.bytes))
+	}
+}
+
+// fold merges the workers' aggregation databases into worker 0's with a
+// pairwise tree reduction: at stride s, shard i+s folds into shard i.
+// Merges within a level touch disjoint (dst, src) pairs and run
+// concurrently; the merge order is a static function of the worker count,
+// so grouping — and with it the output — is deterministic.
+func (x *Exec) fold(shards []shard, rank int) error {
+	if len(shards) == 1 || shards[0].eng.db == nil {
+		return nil
+	}
+	start := time.Now()
+	for stride := 1; stride < len(shards); stride *= 2 {
+		var wg sync.WaitGroup
+		for i := 0; i+stride < len(shards); i += 2 * stride {
+			wg.Add(1)
+			go func(dst, src int) {
+				defer wg.Done()
+				sp := x.Span("query.merge", rank)
+				defer sp.End()
+				sp.ArgInt("dst", int64(dst))
+				sp.ArgInt("src", int64(src))
+				db := shards[dst].eng.db
+				if err := db.Merge(shards[src].eng.db); err != nil {
+					shards[dst].err = fmt.Errorf("query: merge shard %d into %d: %w", src, dst, err)
+				}
+				sp.ArgInt("buckets", int64(db.Len()))
+			}(i, i+stride)
+		}
+		wg.Wait()
+	}
+	mergeWall := time.Since(start)
+	telMergeNS.Add(uint64(mergeWall.Nanoseconds()))
+	x.aq.Phase("merge", mergeWall)
+	for i := range shards {
+		if shards[i].err != nil {
+			return shards[i].err
+		}
+	}
+	return nil
+}

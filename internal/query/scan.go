@@ -354,6 +354,10 @@ type Unit struct {
 	Skip    []bool           // per-block skip flags (len == len(Idx.Blocks))
 	Lo, Hi  int              // block range to scan
 
+	// stream, when set, is the unit's already-open input (Input.Stream):
+	// there is no file to open, index or cache.
+	stream io.ReadCloser
+
 	// Aggregate-cache routing (see cachescan.go). cacheNone means the
 	// unit scans normally with no store afterwards.
 	cacheMode  int
@@ -379,54 +383,52 @@ func (u *Unit) liveRecords() int64 {
 // block-range units when there are fewer units than workers. The result
 // is a deterministic function of (files, jobs, index contents).
 func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
+	if len(files) == 0 {
+		return nil // nothing to plan: an emulated rank past the last file
+	}
 	sp := trace.Begin("query.index")
 	units := make([]Unit, 0, len(files))
 	var indexed, skipped, fallbacks int64
-	var hits, misses, incr int64
+	var cached [cacheMissMode + 1]int64 // files per cache routing mode
 	for i, f := range files {
+		u := Unit{FileIdx: i, File: f}
 		if p.cache != nil {
-			switch mode, e := p.planCache(f); mode {
-			case cacheHitMode:
-				hits++
-				units = append(units, Unit{FileIdx: i, File: f, cacheMode: cacheHitMode, cacheEntry: e})
+			// a miss — or a file the cache could not examine, whose scan
+			// will surface the real error — plans like an uncached file,
+			// scans in full and stores its state afterwards
+			u.cacheMode = cacheMissMode
+			mode, e := p.planCache(f)
+			cached[mode]++
+			if e != nil { // hit or incremental: the entry stands in for the index
+				u.cacheMode, u.cacheEntry = mode, e
+				units = append(units, u)
 				continue
-			case cacheIncrMode:
-				incr++
-				units = append(units, Unit{FileIdx: i, File: f, cacheMode: cacheIncrMode, cacheEntry: e})
-				continue
-			case cacheMissMode:
-				misses++
-				// fall through to normal index planning; the unit scans in
-				// full and stores its state afterwards
 			}
 		}
-		if !p.opts.UseIndex {
-			units = append(units, Unit{FileIdx: i, File: f, cacheMode: p.missMode()})
-			continue
-		}
-		idx, err := calformat.LoadIndex(f)
-		if err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
+		if p.opts.UseIndex {
+			idx, err := calformat.LoadIndex(f)
+			if err == nil {
+				indexed++
+				telIdxFilesIndexed.Inc()
+				skipFile, skipBlock := p.evalFile(idx)
+				if skipFile {
+					skipped++
+					telIdxFilesSkipped.Inc()
+					telIdxRecordsPruned.Add(idx.Records)
+					p.mu.Lock()
+					p.stats.RecordsPruned += int64(idx.Records)
+					p.mu.Unlock()
+					continue
+				}
+				u.Idx, u.Skip, u.Hi = idx, skipBlock, len(idx.Blocks)
+			} else if !errors.Is(err, fs.ErrNotExist) {
 				fallbacks++
 				telIdxFallback.Inc()
 			}
-			units = append(units, Unit{FileIdx: i, File: f, cacheMode: p.missMode()})
-			continue
 		}
-		indexed++
-		telIdxFilesIndexed.Inc()
-		skipFile, skipBlock := p.evalFile(idx)
-		if skipFile {
-			skipped++
-			telIdxFilesSkipped.Inc()
-			telIdxRecordsPruned.Add(idx.Records)
-			p.mu.Lock()
-			p.stats.RecordsPruned += int64(idx.Records)
-			p.mu.Unlock()
-			continue
-		}
-		units = append(units, Unit{FileIdx: i, File: f, Idx: idx, Skip: skipBlock, Hi: len(idx.Blocks), cacheMode: p.missMode()})
+		units = append(units, u)
 	}
+	hits, misses, incr := cached[cacheHitMode], cached[cacheMissMode], cached[cacheIncrMode]
 	// Sub-file units cannot produce storable whole-file state, so the
 	// cache keeps files whole; block pruning within a unit still applies.
 	if jobs > 1 && len(units) > 0 && len(units) < jobs && p.cache == nil {
@@ -527,43 +529,52 @@ func (p *ScanPlan) ScanUnit(eng *Engine, u Unit, reg *attr.Registry, tree *conte
 	return n, bytes, err
 }
 
+// drain feeds every record rd yields, up to its limit or EOF, through the
+// engine and returns how many there were. rec is the one record decoded
+// into, reused across calls. name labels a decode error with its input.
+func drain(rd *calformat.Reader, eng *Engine, rec *snapshot.FlatRecord, name string) (int, error) {
+	for n := 0; ; n++ {
+		err := rd.NextInto(rec)
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, fmt.Errorf("%s: %w", name, err)
+		}
+		if err := eng.Process(*rec); err != nil {
+			return n, err
+		}
+	}
+}
+
 // scanUnitInto is the cache-oblivious scan body. The extra return is the
 // reader's final byte offset — the watermark a stored cache entry covers.
 func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, int64, error) {
-	f, err := os.Open(u.File)
-	if err != nil {
-		return 0, 0, 0, err
+	src := u.stream
+	if src == nil {
+		f, err := os.Open(u.File)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		src = f
 	}
-	defer f.Close()
-	rd := calformat.NewReader(f, reg, tree)
+	defer src.Close()
+	rd := calformat.NewReader(src, reg, tree)
 	if p.proj != nil && !p.projCoversAll(u.Idx) {
 		rd.SetProjection(p.proj)
 	}
 
-	records := 0
 	var rec snapshot.FlatRecord
 	if u.Idx == nil {
-		// plain full scan to EOF
-		for {
-			err := rd.NextInto(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return records, rd.Offset(), rd.Offset(), fmt.Errorf("%s: %w", u.File, err)
-			}
-			if err := eng.Process(rec); err != nil {
-				return records, rd.Offset(), rd.Offset(), err
-			}
-			records++
-		}
-		return records, rd.Offset(), rd.Offset(), nil
+		// no index: the whole input is one live run, to EOF
+		records, err := drain(rd, eng, &rec, u.File)
+		return records, rd.Offset(), rd.Offset(), err
 	}
 
 	sp := trace.Begin("query.index")
 	defer sp.End()
 	var scanned, pruned, seeked, recsPruned, seekedBytes int64
-	blocks := u.Idx.Blocks
+	records, blocks := 0, u.Idx.Blocks
 	const (
 		actFull = iota
 		actMeta
@@ -617,18 +628,10 @@ func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *c
 			}
 		case actFull:
 			rd.SetLimit(runEnd)
-			for {
-				err := rd.NextInto(&rec)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return records, 0, 0, fmt.Errorf("%s: %w", u.File, err)
-				}
-				if err := eng.Process(rec); err != nil {
-					return records, 0, 0, err
-				}
-				records++
+			n, err := drain(rd, eng, &rec, u.File)
+			records += n
+			if err != nil {
+				return records, 0, 0, err
 			}
 		}
 		bi = end
@@ -651,8 +654,8 @@ func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *c
 	return records, rd.Offset() - seekedBytes, rd.Offset(), nil
 }
 
-// ScanFiles is the serial scan loop: plan the files as one worker's units
-// and feed them through the engine in order.
+// ScanFiles plans the files as one worker's units and scans them in order:
+// Exec.Local's single-worker case, kept for bench/'s staged replay.
 func (p *ScanPlan) ScanFiles(eng *Engine, files []string, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	records := 0
 	var bytes int64

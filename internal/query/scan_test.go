@@ -67,9 +67,12 @@ func runRows(t *testing.T, queryText string, files []string, jobs int, opts Scan
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := attr.NewRegistry()
-	plan := NewScanPlan(q, opts)
-	rows, err := RunShardedPlan(plan, q, reg, files, jobs, nil)
+	x := NewExec(q, opts, Sharded, nil)
+	eng, _, err := x.Local(attr.NewRegistry(), Input{Files: files}, jobs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := eng.Results()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +81,7 @@ func runRows(t *testing.T, queryText string, files []string, jobs int, opts Scan
 		sb.WriteString(r.String())
 		sb.WriteByte('\n')
 	}
-	return sb.String(), plan
+	return sb.String(), x.Plan
 }
 
 // expectSame asserts indexed and full-scan execution agree for the query

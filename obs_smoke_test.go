@@ -55,7 +55,7 @@ func TestEndpointSmoke(t *testing.T) {
 		"aggregate.ops": "count,sum(time.duration)",
 	})
 	const queryText = "AGGREGATE sum(aggregate.count), sum(sum#time.duration) GROUP BY kernel"
-	res, err := calql.QueryFilesJobs(queryText, files, 4)
+	res, err := calql.QueryFilesJobsOpt(queryText, files, 4, calql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
