@@ -396,6 +396,42 @@ func TestAggregateWhereFilter(t *testing.T) {
 	}
 }
 
+// TestAggregateWhereAcrossThreads filters on an attribute no thread has
+// registered when the channel starts: every thread's compiled WHERE then
+// resolves it lazily, concurrently with the others (run under -race).
+func TestAggregateWhereAcrossThreads(t *testing.T) {
+	ch := mustChannel(t, Config{
+		"services":        "event,aggregate",
+		"aggregate.key":   "region",
+		"aggregate.ops":   "count",
+		"aggregate.where": "region = hot",
+	})
+	const threads, iters = 8, 100
+	var wg sync.WaitGroup
+	for g := 0; g < threads; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := ch.Thread()
+			for i := 0; i < iters; i++ {
+				for _, region := range []string{"hot", "cold"} {
+					th.Begin("region", region)
+					th.End("region")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	rows, err := ch.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// of each begin/end pair only the end snapshot carries the region
+	if len(rows) != 1 || getInt(t, rows[0], "aggregate.count") != threads*iters {
+		t.Errorf("rows = %v, want one region=hot row counting %d", rows, threads*iters)
+	}
+}
+
 func TestRecorderWritesFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.cali")

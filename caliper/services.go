@@ -148,6 +148,13 @@ type aggregateService struct {
 	where  []calql.Condition
 }
 
+// aggregateState is one thread's share of the service: its database and
+// its own compiled WHERE (query.Where is not safe to share across threads).
+type aggregateState struct {
+	db    *core.DB
+	where query.Where
+}
+
 func newAggregateService(ch *Channel, cfg Config) (service, error) {
 	opsText := cfg["aggregate.ops"]
 	if opsText == "" {
@@ -171,23 +178,20 @@ func newAggregateService(ch *Channel, cfg Config) (service, error) {
 	svc := &aggregateService{scheme: scheme, where: q.Where}
 
 	ch.procSnap = append(ch.procSnap, func(t *Thread, rec snapshot.Record) {
-		db := t.serviceState(svc, func() any {
+		st := t.serviceState(svc, func() any {
 			db, err := core.NewDB(svc.scheme, ch.reg)
 			if err != nil {
 				panic(err) // scheme was validated at startup
 			}
-			return db
-		}).(*core.DB)
+			return &aggregateState{db: db, where: query.CompileWhere(svc.where, ch.reg)}
+		}).(*aggregateState)
 		flat, err := rec.Unpack(ch.tree, ch.reg)
 		if err != nil {
 			return // skip malformed records
 		}
-		for _, c := range svc.where {
-			if !query.EvalCondition(c, flat) {
-				return
-			}
+		if st.where.Match(flat) {
+			st.db.Update(flat)
 		}
-		db.Update(flat)
 	})
 	return svc, nil
 }
@@ -206,7 +210,7 @@ func (svc *aggregateService) flush(ch *Channel, emit func(snapshot.FlatRecord) e
 		if !ok {
 			continue
 		}
-		db := v.(*core.DB)
+		db := v.(*aggregateState).db
 		if err := merged.Merge(db); err != nil {
 			return err
 		}
@@ -231,7 +235,7 @@ func (ch *Channel) OutputRecords() int {
 		}
 		for _, t := range ch.threadsSnapshot() {
 			if v, ok := t.state.Load(svc); ok {
-				if err := merged.Merge(v.(*core.DB)); err != nil {
+				if err := merged.Merge(v.(*aggregateState).db); err != nil {
 					return 0
 				}
 			}

@@ -133,12 +133,12 @@ func QueryFilesOpt(queryText string, files []string, opts Options) (*Resultset, 
 
 // QueryFilesJobsOpt runs a query over the given .cali files with up to
 // jobs in-process read+aggregate workers (sharded multi-core execution):
-// scan units — files, or with indexing enabled (the default) block ranges
-// of one large indexed file — are fanned out round-robin, each worker
-// aggregates its units into a private database shard, and the shards are
-// folded together with a pairwise merge tree before the shared
-// postprocess tail. The output is byte-identical for every jobs. jobs <= 0
-// selects one worker per CPU; jobs == 1 is serial execution.
+// the files are fanned out round-robin, each worker aggregates its files
+// into a private database shard, and the shards are folded together with
+// a pairwise merge tree before the shared postprocess tail. The output is
+// byte-identical for every jobs. jobs <= 0 selects one worker per CPU; no
+// worker goes without a file, so jobs == 1 — or a single file — is serial
+// execution.
 func QueryFilesJobsOpt(queryText string, files []string, jobs int, opts Options) (*Resultset, error) {
 	res, err := run(queryText, files, jobs, 0, opts)
 	if err != nil {
@@ -176,19 +176,13 @@ func QueryFilesParallelOpt(queryText string, files []string, ranks int, opts Opt
 // resolve maps a requested (jobs, ranks) to the execution mode and worker
 // count of a query over nfiles files. Ranks take precedence: each rank of
 // the emulated-MPI path is one worker. run and EXPLAIN both resolve here,
-// so a plan describes the run it stands for. Neither may open the inputs
-// yet, so with index use on — one indexed file splits into up to a block
-// range per worker — only the executor, once it has planned the scan
-// units, clamps the count to them.
-func resolve(jobs, ranks, nfiles int, opts Options) (*query.Mode, int) {
+// without opening an input — a scan unit is a file, whatever its index or
+// cache state — so a plan describes the run it stands for.
+func resolve(jobs, ranks, nfiles int) (*query.Mode, int) {
 	if ranks > 0 {
 		return query.MPI, 1
 	}
-	units := -1
-	if opts.NoIndex {
-		units = nfiles // unindexed, the unit is the file
-	}
-	if jobs = query.Workers(jobs, units); jobs > 1 {
+	if jobs = query.Workers(jobs, nfiles); jobs > 1 {
 		return query.Sharded, jobs
 	}
 	return query.Serial, 1
@@ -199,7 +193,7 @@ func resolve(jobs, ranks, nfiles int, opts Options) (*query.Mode, int) {
 // the cross-rank tree reduce) → result rows, with query attribution
 // around it all.
 func run(queryText string, files []string, jobs, ranks int, opts Options) (res *ParallelResult, err error) {
-	mode, jobs := resolve(jobs, ranks, len(files), opts)
+	mode, jobs := resolve(jobs, ranks, len(files))
 	aq := obs.BeginQuery(queryText, mode.Engine)
 	defer func() {
 		if res != nil {
@@ -273,7 +267,7 @@ func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts O
 	if q.Explain == ExplainNone {
 		return "", fmt.Errorf("calql: not an EXPLAIN statement: %s", queryText)
 	}
-	mode, jobs := resolve(jobs, ranks, len(files), eopts)
+	mode, jobs := resolve(jobs, ranks, len(files))
 	opts := query.PlanOptions{Inputs: len(files), UseIndex: !eopts.NoIndex, Jobs: jobs}
 	if dir := eopts.cacheDir(); dir != "" {
 		opts.Cache = true

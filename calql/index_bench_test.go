@@ -17,10 +17,9 @@ import (
 //     run should be several times faster than the full scan.
 //   - groupby: the paper's evaluation query has no prunable WHERE; every
 //     block is decoded, measuring pure index overhead (must stay small).
-//   - bigfile: all sixteen ranks merged into one multi-block file; block
-//     spans let j=4 shard inside the single file. With one CPU the
-//     speedup is scheduling-bound — the case documents correctness and
-//     overhead, the multi-core win needs a multi-core host.
+//   - bigfile: all sixteen ranks merged into one multi-block file: what
+//     the index costs a scan that walks 34 blocks of one file. A file is
+//     one scan unit, so no -j would start a second worker here.
 func BenchmarkIndexedScan(b *testing.B) {
 	dir := b.TempDir()
 	files, err := paradis.GenerateDirIndexed(dir, 16, paradis.DefaultConfig(), calformat.IndexOptions{})
@@ -67,13 +66,6 @@ func BenchmarkIndexedScan(b *testing.B) {
 	b.Run("bigfile-j1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := QueryFilesJobsOpt(paradis.EvaluationQuery, one, 1, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("bigfile-j4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := QueryFilesJobsOpt(paradis.EvaluationQuery, one, 4, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

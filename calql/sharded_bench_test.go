@@ -10,9 +10,9 @@ import (
 // BenchmarkQueryFilesSharded measures end-to-end query latency over a
 // 16-file ParaDiS-shaped dataset (paper-scale record mix: 2174 records per
 // file, 85 groups): serial (one worker), then the same executor at
-// increasing worker counts. On a multi-core machine j=4 should run close
-// to 4x the serial throughput (workers are CPU-bound on decode+aggregate);
-// with GOMAXPROCS=1 the sharded runs show the scheduling overhead instead,
+// increasing worker counts. Workers take whole files and are CPU-bound on
+// decode+aggregate, so the gain is bounded by min(jobs, files, CPUs): with
+// GOMAXPROCS=1 the sharded runs show the scheduling overhead instead,
 // which must stay small.
 func BenchmarkQueryFilesSharded(b *testing.B) {
 	files, err := paradis.GenerateDir(b.TempDir(), 16, paradis.DefaultConfig())

@@ -3,12 +3,13 @@ package calql
 import (
 	"fmt"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
 	"caligo/caliper"
 	"caligo/internal/calformat"
+	"caligo/internal/obs"
+	"caligo/internal/telemetry"
 )
 
 // writeDatasetN writes one .cali dataset with n begin/end pairs, so test
@@ -167,27 +168,74 @@ func TestExplainFilesJobs(t *testing.T) {
 		t.Errorf("jobs=1 EXPLAIN should be serial:\n%s", out)
 	}
 
-	// one indexed file still shards — its block ranges are the units — so
-	// EXPLAIN must resolve -j as the executor does, not clamp it to the
-	// file count and describe (and measure) a serial run
-	one := files[:1]
-	idx, err := calformat.BuildFileIndex(one[0], calformat.IndexOptions{BlockRecords: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx.Blocks) < 4 {
-		t.Fatalf("dataset too small: %d blocks", len(idx.Blocks))
-	}
-	if err := calformat.WriteIndexFile(one[0], idx); err != nil {
-		t.Fatal(err)
-	}
-	out, err = ExplainFilesOpts(
-		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", one, 0, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "sharded (4 parallel workers") ||
-		!regexp.MustCompile(`-> shard.*\n\s+spans=4 `).MatchString(out) {
-		t.Errorf("one indexed file, jobs=4: EXPLAIN ANALYZE should show 4 shard workers:\n%s", out)
+}
+
+// TestSingleFileRunsSerial pins that a scan unit is a file: over one
+// multi-block file no -j starts a second worker, whatever the index and
+// cache state, and EXPLAIN, EXPLAIN ANALYZE, the obs engine label and the
+// shard counter all say so. The output is byte-identical to -j 1.
+func TestSingleFileRunsSerial(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
+	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
+	shards := telemetry.NewCounter("caligo.query.shards")
+	for _, indexed := range []bool{true, false} {
+		one := shardedFiles(t, 1)
+		if indexed {
+			idx, err := calformat.BuildFileIndex(one[0], calformat.IndexOptions{BlockRecords: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(idx.Blocks) < 4 {
+				t.Fatalf("dataset too small: %d blocks", len(idx.Blocks))
+			}
+			if err := calformat.WriteIndexFile(one[0], idx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref, err := QueryFilesOpt(q, one, Options{NoIndex: true, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.String()
+		warmDir := t.TempDir()
+		if _, err := QueryFilesOpt(q, one, Options{CacheDir: warmDir}); err != nil {
+			t.Fatal(err)
+		}
+		for _, cache := range []struct {
+			name string
+			opts func() Options // per run: a cold cache is cold once
+		}{
+			{"off", func() Options { return Options{NoCache: true} }},
+			{"cold", func() Options { return Options{CacheDir: t.TempDir()} }},
+			{"warm", func() Options { return Options{CacheDir: warmDir} }},
+		} {
+			for _, jobs := range []int{1, 4, 0} {
+				name := fmt.Sprintf("indexed=%v/cache=%s/j=%d", indexed, cache.name, jobs)
+				shards0 := shards.Value()
+				obs.ResetQueryStats()
+				rs, err := QueryFilesJobsOpt(q, one, jobs, cache.opts())
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := rs.String(); got != want {
+					t.Errorf("%s: output differs from -j 1:\n--- want ---\n%s--- got ---\n%s", name, want, got)
+				}
+				if snap := obs.QuerySnapshot(); len(snap) != 1 || snap[0].Engine != "serial" {
+					t.Errorf("%s: attribution = %+v, want one serial query", name, snap)
+				}
+				for _, stmt := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+					out, err := ExplainFilesOpts(stmt+q, one, 0, jobs, cache.opts())
+					if err != nil {
+						t.Fatalf("%s: %s: %v", name, stmt, err)
+					}
+					if !strings.Contains(out, "execution: serial") || strings.Contains(out, "-> shard") {
+						t.Errorf("%s: %sshould be serial:\n%s", name, stmt, out)
+					}
+				}
+				if moved := shards.Value() - shards0; moved != 0 {
+					t.Errorf("%s: caligo.query.shards moved by %d", name, moved)
+				}
+			}
+		}
 	}
 }

@@ -1,8 +1,7 @@
 // Command cali-index builds, inspects, and verifies sidecar block
 // indexes (<file>.cali.idx) for .cali datasets. The index stores per-block
 // zone maps (numeric min/max, small string distinct sets) that let
-// cali-query skip whole files and blocks a WHERE clause cannot match, and
-// lets readers shard a single large file across cores.
+// cali-query skip whole files and blocks a WHERE clause cannot match.
 //
 // Usage:
 //

@@ -39,7 +39,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("cali-query", flag.ContinueOnError)
 	queryText := fs.String("q", "", "query in the aggregation description language (required)")
 	parallel := fs.Int("parallel", 0, "run the MPI-emulated parallel query with this many ranks (0 = serial)")
-	jobs := fs.Int("j", 1, "sharded multi-core execution with this many read+aggregate workers (1 = serial, 0 = one per CPU)")
+	jobs := fs.Int("j", 1, "sharded multi-core execution with up to this many read+aggregate workers, each taking whole files (1 = serial, 0 = one per CPU)")
 	noIndex := fs.Bool("no-index", false, "ignore sidecar block indexes (.cali.idx): no file/block pruning or projection pushdown")
 	cacheDir := fs.String("cache", "", "per-file aggregate state cache directory (default: $CALIGO_CACHE; empty = caching off)")
 	noCache := fs.Bool("no-cache", false, "disable the aggregate state cache, overriding -cache and $CALIGO_CACHE")

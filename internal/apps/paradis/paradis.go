@@ -266,8 +266,8 @@ func writeRankFile(path string, rank int, cfg Config, buildIndex bool, opt calfo
 }
 
 // WriteMerged writes all ranks into a single multi-block .cali file at
-// path — the "one big file" shape that exercises intra-file parallel
-// scans — with a sidecar block index when buildIndex is set. One registry
+// path — the "one big file" shape, many index blocks behind one scan
+// unit — with a sidecar block index when buildIndex is set. One registry
 // and context tree span the whole stream, so definitions are shared
 // across ranks exactly as a merged capture would share them.
 func WriteMerged(path string, ranks int, cfg Config, buildIndex bool, opt calformat.IndexOptions) (int, error) {

@@ -196,7 +196,7 @@ func (r *Reader) Globals() []attr.Entry { return r.globals }
 
 // Offset returns the absolute stream offset after the last line consumed.
 // Lines land on exact block boundaries (index.go), so this is the anchor
-// for block-range scans.
+// for skipping pruned blocks.
 func (r *Reader) Offset() int64 { return r.offset }
 
 // MetaLines returns the count of metadata lines (attr, node, globals)

@@ -9,7 +9,7 @@ package calformat
 // distinct-string sets with an overflow marker. Query planning
 // (internal/query/scan.go) uses the zone maps to skip whole files and
 // blocks that cannot satisfy a compiled WHERE condition, and the byte
-// spans to shard one large file across scan workers.
+// spans to seek over the skipped blocks.
 //
 // The index lives in a sidecar file next to the data (<file>.cali.idx) so
 // existing .cali files stay valid and writable by tools that know nothing
@@ -584,12 +584,7 @@ func newFNV() hash.Hash64 { return fnv.New64a() }
 
 // hashReader computes (quickHash, fullHash, size) of a seekable file.
 func hashReader(f *os.File) (quick, full uint64, size int64, err error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	size = st.Size()
-	q, err := quickHashFile(f, size)
+	size, q, err := QuickHash(f)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -603,24 +598,53 @@ func hashReader(f *os.File) (quick, full uint64, size int64, err error) {
 	return q, h.Sum64(), size, nil
 }
 
-// QuickHashPrefix computes the quick staleness hash over the first n
-// bytes of the open file, exactly as quickHashFile would hash a file of
-// size n. It is the watermark identity check of the query-state cache
-// (internal/qcache): a cache entry covering the first n bytes of a file
-// stays valid for an appended file precisely when this hash still
-// matches. n must not exceed the file's current size.
-func QuickHashPrefix(f *os.File, n int64) (uint64, error) {
+// QuickHash returns the identity of the open file as it is now: its size
+// and the quick hash over all of it — what a sidecar index (FileSize,
+// QuickHash) or a query-state cache entry (Watermark, PrefixHash) records
+// about the bytes it describes, and CheckIdentity later tests.
+func QuickHash(f *os.File) (size int64, hash uint64, err error) {
 	st, err := f.Stat()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	if n < 0 || n > st.Size() {
-		return 0, fmt.Errorf("calformat: prefix %d out of range (file size %d)", n, st.Size())
-	}
-	return quickHashFile(f, n)
+	hash, err = quickHashFile(f, st.Size())
+	return st.Size(), hash, err
 }
 
-// quickHashFile computes the O(1)-read staleness hash of an open file.
+// Identity is CheckIdentity's verdict on a recorded (n, hash).
+type Identity int
+
+const (
+	Changed Identity = iota // shorter than n, or its first n bytes hash differently
+	Same                    // exactly n bytes, hashing as recorded
+	Grown                   // longer than n, the first n bytes hashing as recorded
+)
+
+// CheckIdentity reports whether a recorded (n, hash) still describes the
+// first n bytes of the open file, with one stat and one quick hash. It is
+// the one staleness test of the index, to which a grown file is as stale
+// as a changed one, and of the cache, which rescans only a grown file's
+// tail.
+func CheckIdentity(f *os.File, n int64, hash uint64) (Identity, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return Changed, err
+	}
+	if n < 0 || n > st.Size() {
+		return Changed, nil
+	}
+	got, err := quickHashFile(f, n)
+	switch {
+	case err != nil || got != hash:
+		return Changed, err
+	case n == st.Size():
+		return Same, nil
+	}
+	return Grown, nil
+}
+
+// quickHashFile computes the O(1)-read staleness hash of the first size
+// bytes of an open file.
 func quickHashFile(f *os.File, size int64) (uint64, error) {
 	h := newFNV()
 	var sz [8]byte
@@ -921,19 +945,12 @@ func LoadIndex(caliPath string) (*Index, error) {
 		return nil, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
+	id, err := CheckIdentity(f, idx.FileSize, idx.QuickHash)
 	if err != nil {
 		return nil, err
 	}
-	if st.Size() != idx.FileSize {
-		return nil, fmt.Errorf("%w: size %d, index built for %d", ErrIndexStale, st.Size(), idx.FileSize)
-	}
-	quick, err := quickHashFile(f, st.Size())
-	if err != nil {
-		return nil, err
-	}
-	if quick != idx.QuickHash {
-		return nil, fmt.Errorf("%w: content hash mismatch", ErrIndexStale)
+	if id != Same {
+		return nil, fmt.Errorf("%w: not the %d bytes the index was built for", ErrIndexStale, idx.FileSize)
 	}
 	return idx, nil
 }

@@ -169,6 +169,67 @@ func TestLoadIndexDetectsSameLengthEdit(t *testing.T) {
 	}
 }
 
+// TestCheckIdentity walks one file through the three verdicts the index
+// and the query-state cache share.
+func TestCheckIdentity(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.cali")
+	body := []byte("__rec=ctx,attr=0,data=1\n")
+	check := func(n int64, hash uint64) Identity {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		id, err := CheckIdentity(f, n, hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, hash, err := QuickHash(f)
+	f.Close()
+	if err != nil || n != int64(len(body)) {
+		t.Fatalf("QuickHash = (%d, %v), want size %d", n, err, len(body))
+	}
+	if id := check(n, hash); id != Same {
+		t.Errorf("untouched file: %v, want Same", id)
+	}
+	if id := check(n, hash+1); id != Changed {
+		t.Errorf("wrong hash: %v, want Changed", id)
+	}
+	if id := check(-1, hash); id != Changed {
+		t.Errorf("negative size: %v, want Changed", id)
+	}
+	if err := os.WriteFile(path, append(append([]byte{}, body...), body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if id := check(n, hash); id != Grown {
+		t.Errorf("appended file: %v, want Grown", id)
+	}
+	if err := os.WriteFile(path, body[:n-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if id := check(n, hash); id != Changed {
+		t.Errorf("truncated file: %v, want Changed", id)
+	}
+	edited := append(append([]byte{}, body...), body...)
+	edited[3] ^= 1
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if id := check(n, hash); id != Changed {
+		t.Errorf("grown file with an edited prefix: %v, want Changed", id)
+	}
+}
+
 func TestDecodeIndexRejectsDamage(t *testing.T) {
 	path, idx := writeIndexedFixture(t, 200, 50)
 	enc := idx.Encode()

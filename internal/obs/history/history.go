@@ -23,7 +23,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -319,12 +318,7 @@ func (o *Options) fill() error {
 	if o.Interval <= 0 {
 		o.Interval = 10 * time.Second
 	}
-	if o.MaxFiles <= 0 {
-		o.MaxFiles = 64
-	}
-	if o.MaxFiles < 2 {
-		o.MaxFiles = 2
-	}
+	o.MaxFiles = obs.RingSize(o.MaxFiles, 64)
 	if o.Prefix == "" {
 		o.Prefix = "history"
 	}
@@ -342,14 +336,14 @@ func (o *Options) fill() error {
 // as one .cali ring file, keeps an in-memory summary for /debug/history,
 // and buffers the records for the next cluster reduction epoch.
 type Recorder struct {
-	opts   Options
-	log    *slog.Logger
-	schema *Schema
+	*obs.FileRing // the retained window files; Files lists them
+	opts          Options
+	log           *slog.Logger
+	schema        *Schema
 
 	mu      sync.Mutex
 	seq     int
-	files   []string // retained ring files, oldest first
-	windows []Window // in-memory summaries, oldest first, same bound
+	windows []Window // in-memory summaries, oldest first, the ring's bound
 	prev    []telemetry.Metric
 	cur     []telemetry.Metric
 	lastAt  time.Time // wall time of the previous snapshot
@@ -373,13 +367,14 @@ func Start(opts Options) (*Recorder, error) {
 	if err != nil {
 		return nil, err
 	}
+	log := obs.Logger("history")
 	r := &Recorder{
-		opts:   opts,
-		log:    obs.Logger("history"),
-		schema: schema,
-		done:   make(chan struct{}),
+		FileRing: obs.NewFileRing(opts.Dir, opts.Prefix, opts.MaxFiles, telFiles, log),
+		opts:     opts,
+		log:      log,
+		schema:   schema,
+		done:     make(chan struct{}),
 	}
-	r.adoptExisting()
 	r.mu.Lock()
 	r.prev = opts.Registry.ExportInto(r.prev)
 	r.lastAt = time.Now()
@@ -387,20 +382,6 @@ func Start(opts Options) (*Recorder, error) {
 	r.wg.Add(1)
 	go r.loop()
 	return r, nil
-}
-
-// adoptExisting picks up leftover ring files from a previous run so
-// retention keeps working across restarts.
-func (r *Recorder) adoptExisting() {
-	matches, err := filepath.Glob(filepath.Join(r.opts.Dir, r.opts.Prefix+"-*.cali"))
-	if err != nil || len(matches) == 0 {
-		return
-	}
-	sort.Strings(matches)
-	r.mu.Lock()
-	r.files = matches
-	telFiles.Set(int64(len(r.files)))
-	r.mu.Unlock()
 }
 
 // Stop halts the scheduler, waits for an in-flight capture, and captures
@@ -494,17 +475,8 @@ func (r *Recorder) CaptureNow() (string, error) {
 	r.lastAt = start
 
 	// retention: files and in-memory summaries share the bound
-	r.files = append(r.files, path)
+	r.Add(path)
 	r.windows = append(r.windows, win)
-	if n := len(r.files) - r.opts.MaxFiles; n > 0 {
-		evict := append([]string(nil), r.files[:n]...)
-		r.files = append(r.files[:0], r.files[n:]...)
-		for _, old := range evict {
-			if err := os.Remove(old); err != nil && !os.IsNotExist(err) {
-				r.log.Warn("retention remove failed", "file", old, "err", err)
-			}
-		}
-	}
 	if n := len(r.windows) - r.opts.MaxFiles; n > 0 {
 		r.windows = append(r.windows[:0], r.windows[n:]...)
 	}
@@ -519,7 +491,6 @@ func (r *Recorder) CaptureNow() (string, error) {
 	telWindows.Inc()
 	telRecords.Add(uint64(len(recs)))
 	telBytes.Add(uint64(r.buf.Len()))
-	telFiles.Set(int64(len(r.files)))
 	telCaptureNS.Observe(time.Since(start).Nanoseconds())
 	return path, nil
 }
@@ -534,13 +505,6 @@ func (r *Recorder) Schema() *Schema { return r.schema }
 
 // Options returns the recorder's effective (defaulted) options.
 func (r *Recorder) Options() Options { return r.opts }
-
-// Files returns the retained ring files, oldest first.
-func (r *Recorder) Files() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.files...)
-}
 
 // Windows returns copies of the retained window summaries, oldest first.
 func (r *Recorder) Windows() []Window {

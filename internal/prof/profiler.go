@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -148,12 +147,7 @@ func (o *Options) fill() error {
 			return fmt.Errorf("prof: unknown point-in-time profile kind %q", k)
 		}
 	}
-	if o.MaxFiles <= 0 {
-		o.MaxFiles = 16
-	}
-	if o.MaxFiles < 2 {
-		o.MaxFiles = 2
-	}
+	o.MaxFiles = obs.RingSize(o.MaxFiles, 16)
 	if o.Prefix == "" {
 		o.Prefix = "selfprof"
 	}
@@ -164,14 +158,14 @@ func (o *Options) fill() error {
 // captures a CPU window plus the configured point-in-time profiles,
 // converts each to .cali, and maintains a bounded ring of output files.
 type Profiler struct {
-	opts Options
-	log  *slog.Logger
+	*obs.FileRing // the retained files; Files lists them
+	opts          Options
+	log           *slog.Logger
 
-	mu    sync.Mutex
-	seq   int
-	files []string // retained files, oldest first
-	done  chan struct{}
-	wg    sync.WaitGroup
+	mu   sync.Mutex
+	seq  int
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 // Start begins continuous capture with the given options. The first
@@ -183,29 +177,16 @@ func Start(opts Options) (*Profiler, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("prof: %w", err)
 	}
+	log := obs.Logger("prof")
 	p := &Profiler{
-		opts: opts,
-		log:  obs.Logger("prof"),
-		done: make(chan struct{}),
+		FileRing: obs.NewFileRing(opts.Dir, opts.Prefix, opts.MaxFiles, telFiles, log),
+		opts:     opts,
+		log:      log,
+		done:     make(chan struct{}),
 	}
-	p.adoptExisting()
 	p.wg.Add(1)
 	go p.loop()
 	return p, nil
-}
-
-// adoptExisting picks up leftover ring files from a previous run so
-// retention keeps working across restarts.
-func (p *Profiler) adoptExisting() {
-	matches, err := filepath.Glob(filepath.Join(p.opts.Dir, p.opts.Prefix+"-*.cali"))
-	if err != nil || len(matches) == 0 {
-		return
-	}
-	sort.Strings(matches)
-	p.mu.Lock()
-	p.files = matches
-	telFiles.Set(int64(len(p.files)))
-	p.mu.Unlock()
 }
 
 // Stop halts the scheduler and waits for an in-flight round to finish.
@@ -277,21 +258,7 @@ func (p *Profiler) capture(kind string, window time.Duration) (string, error) {
 		return "", fmt.Errorf("prof: write %s: %w", path, err)
 	}
 	telBytes.Add(uint64(len(cali)))
-
-	p.mu.Lock()
-	p.files = append(p.files, path)
-	var evict []string
-	if n := len(p.files) - p.opts.MaxFiles; n > 0 {
-		evict = append(evict, p.files[:n]...)
-		p.files = append(p.files[:0], p.files[n:]...)
-	}
-	telFiles.Set(int64(len(p.files)))
-	p.mu.Unlock()
-	for _, old := range evict {
-		if err := os.Remove(old); err != nil && !os.IsNotExist(err) {
-			p.log.Warn("retention remove failed", "file", old, "err", err)
-		}
-	}
+	p.Add(path)
 	return path, nil
 }
 
@@ -321,21 +288,13 @@ func (p *Profiler) TriggerPoint(kind string) (string, error) {
 // Latest returns the path of the most recent retained file, optionally
 // filtered by kind ("" matches any).
 func (p *Profiler) Latest(kind string) (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := len(p.files) - 1; i >= 0; i-- {
-		if kind == "" || kindOfFile(p.files[i]) == kind {
-			return p.files[i], true
+	files := p.Files()
+	for i := len(files) - 1; i >= 0; i-- {
+		if kind == "" || kindOfFile(files[i]) == kind {
+			return files[i], true
 		}
 	}
 	return "", false
-}
-
-// Files returns the retained ring files, oldest first.
-func (p *Profiler) Files() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.files...)
 }
 
 // Options returns the profiler's effective (defaulted) options.

@@ -85,7 +85,8 @@ type Entry struct {
 	// Watermark is the number of leading bytes of the file the state
 	// covers (the file's size when the entry was stored).
 	Watermark int64
-	// PrefixHash is calformat.QuickHashPrefix over [0, Watermark).
+	// PrefixHash is calformat's quick hash over [0, Watermark); see
+	// calformat.CheckIdentity.
 	PrefixHash uint64
 	// Records is the number of records decoded to produce the state
 	// (informational; zone-pruned scans decode fewer than the file holds).

@@ -40,7 +40,7 @@ func BenchmarkWhereCompiled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !eng.matches(recs[i%len(recs)]) {
+		if !eng.where.Match(recs[i%len(recs)]) {
 			_ = i
 		}
 	}

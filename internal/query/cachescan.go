@@ -60,37 +60,28 @@ func (p *ScanPlan) noteCacheFallback() {
 // planCache classifies one input file against the cache: hit (entry
 // covers the file exactly), incremental (the file grew and the entry's
 // prefix is intact), or miss. cacheNone means the file could not be
-// examined; the scan will surface the real error.
+// opened; the scan will surface the real error.
 func (p *ScanPlan) planCache(file string) (int, *qcache.Entry) {
-	st, err := os.Stat(file)
-	if err != nil {
-		return cacheNone, nil
-	}
-	size := st.Size()
 	e := p.cache.Lookup(p.cachePlan, file)
 	if e == nil {
-		return cacheMissMode, nil
-	}
-	if e.Watermark <= 0 || e.Watermark > size {
-		// truncated or rewritten shorter since stored: stale
-		p.noteCacheFallback()
 		return cacheMissMode, nil
 	}
 	f, err := os.Open(file)
 	if err != nil {
 		return cacheNone, nil
 	}
-	h, err := calformat.QuickHashPrefix(f, e.Watermark)
-	f.Close()
-	if err != nil || h != e.PrefixHash {
-		// the covered prefix changed in place: stale
+	defer f.Close()
+	switch id, err := calformat.CheckIdentity(f, e.Watermark, e.PrefixHash); {
+	case err != nil || id == calformat.Changed || e.Watermark <= 0:
+		// truncated, rewritten, or changed in place under the covered
+		// prefix since stored: stale
 		p.noteCacheFallback()
 		return cacheMissMode, nil
-	}
-	if e.Watermark == size {
+	case id == calformat.Same:
 		return cacheHitMode, e
+	default:
+		return cacheIncrMode, e
 	}
-	return cacheIncrMode, e
 }
 
 // seeded returns a private engine holding the unit's cached state, the
@@ -229,17 +220,13 @@ func (p *ScanPlan) putEntry(file string, priv *Engine, endOff int64, records uin
 		return
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil || st.Size() != endOff {
+	size, h, err := calformat.QuickHash(f)
+	if err != nil || size != endOff {
 		return // grew or shrank since the scan; the watermark is not the file
 	}
 	var last [1]byte
 	if _, err := f.ReadAt(last[:], endOff-1); err != nil || last[0] != '\n' {
 		return // torn final line; a tail scan could not resume here
-	}
-	h, err := calformat.QuickHashPrefix(f, endOff)
-	if err != nil {
-		return
 	}
 	if len(spans) > maxMetaSpans {
 		spans = []qcache.Span{{Off: 0, Len: endOff}}

@@ -174,3 +174,51 @@ func stableSort(rows []snapshot.FlatRecord, less func(i, j int) bool) {
 		}
 	}
 }
+
+// EvalCondition evaluates one predicate over a record by interpreting it:
+// label-based lookup, literal parsed per call. It is the reference the
+// compiled conditions are checked (and benchmarked) against.
+func EvalCondition(c calql.Condition, rec snapshot.FlatRecord) bool {
+	v, present := rec.GetByName(c.Attr)
+	var result bool
+	switch c.Op {
+	case calql.CondExist:
+		result = present
+	default:
+		if !present {
+			// comparisons against an absent attribute are false (and
+			// not(...) of them true)
+			return c.Negate
+		}
+		cmp := compareToLiteral(v, c.Value)
+		switch c.Op {
+		case calql.CondEq:
+			result = cmp == 0
+		case calql.CondLt:
+			result = cmp < 0
+		case calql.CondLe:
+			result = cmp <= 0
+		case calql.CondGt:
+			result = cmp > 0
+		case calql.CondGe:
+			result = cmp >= 0
+		}
+	}
+	if c.Negate {
+		return !result
+	}
+	return result
+}
+
+// compareToLiteral compares a record value against a query literal,
+// numerically when the record value is numeric and the literal parses as a
+// number, textually otherwise.
+func compareToLiteral(v attr.Variant, lit string) int {
+	switch v.Kind() {
+	case attr.Int, attr.Uint, attr.Float, attr.Bool:
+		if lv, err := attr.ParseAs(lit, attr.Float); err == nil {
+			return attr.Compare(attr.FloatV(v.AsFloat()), lv)
+		}
+	}
+	return attr.Compare(attr.StringV(v.String()), attr.StringV(lit))
+}

@@ -27,7 +27,7 @@ type Engine struct {
 	db    *core.DB              // nil when the query does not aggregate
 	rows  []snapshot.FlatRecord // collected rows for non-aggregating queries
 	lets  []resolvedLet
-	conds []compiledCond
+	where Where
 }
 
 // resolvedLet caches the derived attribute handle for a LET definition.
@@ -48,8 +48,8 @@ type compiledCond struct {
 	numOK  bool
 }
 
-// eval evaluates the condition over a record with the same semantics as
-// EvalCondition (see there for the absent-attribute rules).
+// eval evaluates the condition over a record; the interpreting oracle in
+// cond_test.go is the same semantics spelled out.
 func (cc *compiledCond) eval(rec snapshot.FlatRecord, reg *attr.Registry) bool {
 	if cc.id == attr.InvalidID {
 		if a, ok := reg.Find(cc.cond.Attr); ok {
@@ -131,8 +131,23 @@ func New(q *calql.Query, reg *attr.Registry) (*Engine, error) {
 		}
 		e.lets = append(e.lets, resolvedLet{def: def, attr: a})
 	}
-	e.conds = make([]compiledCond, len(q.Where))
-	for i, c := range q.Where {
+	e.where = CompileWhere(q.Where, reg)
+	return e, nil
+}
+
+// Where is a WHERE clause — the AND of its conditions — compiled against
+// one registry. Matching resolves attribute ids into the compiled
+// conditions lazily, so a Where belongs to one goroutine: every Engine has
+// its own, and the runtime's aggregate service compiles one per thread.
+type Where struct {
+	conds []compiledCond
+	reg   *attr.Registry
+}
+
+// CompileWhere precompiles conds for records resolved against reg.
+func CompileWhere(conds []calql.Condition, reg *attr.Registry) Where {
+	w := Where{conds: make([]compiledCond, len(conds)), reg: reg}
+	for i, c := range conds {
 		cc := compiledCond{cond: c, id: attr.InvalidID}
 		if lv, err := attr.ParseAs(c.Value, attr.Float); err == nil {
 			cc.numLit, cc.numOK = lv, true
@@ -140,9 +155,19 @@ func New(q *calql.Query, reg *attr.Registry) (*Engine, error) {
 		if a, ok := reg.Find(c.Attr); ok {
 			cc.id = a.ID()
 		}
-		e.conds[i] = cc
+		w.conds[i] = cc
 	}
-	return e, nil
+	return w
+}
+
+// Match reports whether rec satisfies every condition.
+func (w *Where) Match(rec snapshot.FlatRecord) bool {
+	for i := range w.conds {
+		if !w.conds[i].eval(rec, w.reg) {
+			return false
+		}
+	}
+	return true
 }
 
 // MustNew is New panicking on error, for static pipelines.
@@ -164,7 +189,7 @@ func (e *Engine) DB() *core.DB { return e.db }
 // retains past this call is cloned.
 func (e *Engine) Process(rec snapshot.FlatRecord) error {
 	rec = e.applyLets(rec)
-	if !e.matches(rec) {
+	if !e.where.Match(rec) {
 		return nil
 	}
 	if e.db != nil {
@@ -216,65 +241,6 @@ func (e *Engine) applyLets(rec snapshot.FlatRecord) snapshot.FlatRecord {
 		}
 	}
 	return out
-}
-
-// matches evaluates all WHERE conditions (AND semantics) through the
-// precompiled forms.
-func (e *Engine) matches(rec snapshot.FlatRecord) bool {
-	for i := range e.conds {
-		if !e.conds[i].eval(rec, e.reg) {
-			return false
-		}
-	}
-	return true
-}
-
-// EvalCondition evaluates one predicate over a record. It is exported for
-// the runtime's on-line aggregation service, which applies WHERE filters
-// to snapshot records before aggregating.
-func EvalCondition(c calql.Condition, rec snapshot.FlatRecord) bool {
-	v, present := rec.GetByName(c.Attr)
-	var result bool
-	switch c.Op {
-	case calql.CondExist:
-		result = present
-	default:
-		if !present {
-			// comparisons against an absent attribute are false (and
-			// not(...) of them true)
-			return c.Negate
-		}
-		cmp := compareToLiteral(v, c.Value)
-		switch c.Op {
-		case calql.CondEq:
-			result = cmp == 0
-		case calql.CondLt:
-			result = cmp < 0
-		case calql.CondLe:
-			result = cmp <= 0
-		case calql.CondGt:
-			result = cmp > 0
-		case calql.CondGe:
-			result = cmp >= 0
-		}
-	}
-	if c.Negate {
-		return !result
-	}
-	return result
-}
-
-// compareToLiteral compares a record value against a query literal,
-// numerically when the record value is numeric and the literal parses as a
-// number, textually otherwise.
-func compareToLiteral(v attr.Variant, lit string) int {
-	switch v.Kind() {
-	case attr.Int, attr.Uint, attr.Float, attr.Bool:
-		if lv, err := attr.ParseAs(lit, attr.Float); err == nil {
-			return attr.Compare(attr.FloatV(v.AsFloat()), lv)
-		}
-	}
-	return attr.Compare(attr.StringV(v.String()), attr.StringV(lit))
 }
 
 // Size reports the engine's current result size: aggregation records for

@@ -30,7 +30,7 @@ import (
 // and the merge order are static functions of (len(units), workers),
 // aggregation state merges exactly (integer sums stay integers), the
 // flush order is the sorted key encoding (insertion-order independent),
-// and non-aggregating rows are reassembled in (file, block) order.
+// and non-aggregating rows are reassembled in file order.
 
 var (
 	telShards  = telemetry.NewCounter("caligo.query.shards")
@@ -55,15 +55,15 @@ var (
 )
 
 // Workers resolves a requested worker count against the scan units there
-// are to hand out (units < 0: not planned yet): jobs <= 0 means one per
-// CPU — workers are CPU-bound on decoding — and no worker goes without a
-// unit. EXPLAIN and the executor both resolve -j here, so a plan names
-// the worker count its run uses.
+// are to hand out — one per input file, so the count is known before any
+// input is opened: jobs <= 0 means one per CPU — workers are CPU-bound on
+// decoding — and no worker goes without a unit. EXPLAIN and the executor
+// both resolve -j here, so a plan names the worker count its run uses.
 func Workers(jobs, units int) int {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if units >= 0 && jobs > units {
+	if jobs > units {
 		jobs = units
 	}
 	if jobs < 1 {
@@ -119,14 +119,13 @@ type shard struct {
 }
 
 // Local runs one process's local phase: it scans in with up to jobs
-// workers (see Workers) and returns the engine holding the merged result
-// — not finalized, so the caller can reduce it further or call Results —
-// and the number of records read. reg is the process's registry, shared
-// by the workers (it is mutex-protected) so attribute ids, LET
-// definitions and result attributes resolve identically across shards;
-// rank labels the spans.
+// workers (see Workers; fewer when index pruning drops whole files) and
+// returns the engine holding the merged result — not finalized, so the
+// caller can reduce it further or call Results — and the number of records
+// read. reg is the process's registry, shared by the workers (it is
+// mutex-protected) so attribute ids, LET definitions and result attributes
+// resolve identically across shards; rank labels the spans.
 func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int, error) {
-	jobs = Workers(jobs, -1)
 	start := time.Now()
 	var rsp trace.Span
 	if in.Stream != nil || len(in.Files) > 0 {
@@ -138,7 +137,7 @@ func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int
 	defer rsp.End()
 	defer asp.End()
 
-	units := x.Plan.PlanUnits(in.Files, jobs)
+	units := x.Plan.PlanUnits(in.Files, 0)
 	if in.Stream != nil {
 		units = []Unit{{File: "input stream", stream: in.Stream}}
 	}
@@ -148,8 +147,7 @@ func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int
 	}
 	// per-unit row collection for non-aggregating queries on several
 	// workers: they write disjoint indices, and concatenating in index
-	// order restores the serial (file, record) order (units are sorted by
-	// file, then block)
+	// order restores the serial (file, record) order
 	var rowsByUnit [][]snapshot.FlatRecord
 	if len(shards) == 1 {
 		x.work(&shards[0], 0, 1, reg, rank, units, nil)

@@ -3,9 +3,9 @@ package query
 // Index-aware scan planning: the bridge between the sidecar block indexes
 // (internal/calformat/index.go) and query execution. A ScanPlan compiles
 // a query's WHERE clause into zone-map tests and its referenced-attribute
-// set into a decode projection, then plans each input file into scan
-// units — whole files for unindexed inputs, block ranges for indexed ones
-// — skipping files and blocks whose zone maps prove no record can match.
+// set into a decode projection, then plans each input file into one scan
+// unit, skipping files — and, inside an indexed file, blocks — whose zone
+// maps prove no record can match.
 //
 // Correctness invariants (pinned by FuzzIndexedQueryDiff and the calql
 // byte-identity tests):
@@ -61,9 +61,9 @@ var (
 
 // ScanOptions control the index-aware scan layer.
 type ScanOptions struct {
-	// UseIndex enables sidecar index use: file/block pruning, projection
-	// pushdown, and intra-file sharding. Off, every file is fully decoded
-	// (the pre-index behavior, bit for bit).
+	// UseIndex enables sidecar index use: file/block pruning and
+	// projection pushdown. Off, every file is fully decoded (the pre-index
+	// behavior, bit for bit).
 	UseIndex bool
 	// Cache enables the per-file aggregate state cache (internal/qcache):
 	// a valid cached entry replaces the file scan with a state merge, an
@@ -344,15 +344,14 @@ func (p *ScanPlan) evalFile(idx *calformat.Index) (skipFile bool, skipBlock []bo
 	return skipFile, skipBlock
 }
 
-// Unit is one scan work item: a whole unindexed file, or a block range
-// [Lo, Hi) of an indexed one. Units are ordered by (FileIdx, Lo); scanning
-// them in that order reproduces the serial full-scan record order.
+// Unit is one scan work item: one input file, or the one input stream.
+// The file is the unit of parallelism, as in the paper's query application
+// (Section IV-C). Units are in input order; scanning them in that order
+// reproduces the serial full-scan record order.
 type Unit struct {
-	FileIdx int
-	File    string
-	Idx     *calformat.Index // nil: plain full scan
-	Skip    []bool           // per-block skip flags (len == len(Idx.Blocks))
-	Lo, Hi  int              // block range to scan
+	File string
+	Idx  *calformat.Index // nil: plain full scan
+	Skip []bool           // per-block skip flags (len == len(Idx.Blocks))
 
 	// stream, when set, is the unit's already-open input (Input.Stream):
 	// there is no file to open, index or cache.
@@ -364,25 +363,11 @@ type Unit struct {
 	cacheEntry *qcache.Entry // hit/incremental: the validated entry
 }
 
-// liveRecords counts the records the unit will actually decode.
-func (u *Unit) liveRecords() int64 {
-	if u.Idx == nil {
-		return -1 // unknown
-	}
-	var n int64
-	for bi := u.Lo; bi < u.Hi; bi++ {
-		if !u.Skip[bi] {
-			n += int64(u.Idx.Blocks[bi].Records)
-		}
-	}
-	return n
-}
-
-// PlanUnits loads each file's index (when enabled and present), drops
-// files the zone maps fully exclude, and splits large indexed files into
-// block-range units when there are fewer units than workers. The result
-// is a deterministic function of (files, jobs, index contents).
-func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
+// PlanUnits loads each file's index (when enabled and present), routes
+// the file through the aggregate cache, and drops files the zone maps
+// fully exclude: at most one unit per file, in input order. The int is
+// ignored; it is kept for bench/, which passes one.
+func (p *ScanPlan) PlanUnits(files []string, _ int) []Unit {
 	if len(files) == 0 {
 		return nil // nothing to plan: an emulated rank past the last file
 	}
@@ -390,8 +375,8 @@ func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
 	units := make([]Unit, 0, len(files))
 	var indexed, skipped, fallbacks int64
 	var cached [cacheMissMode + 1]int64 // files per cache routing mode
-	for i, f := range files {
-		u := Unit{FileIdx: i, File: f}
+	for _, f := range files {
+		u := Unit{File: f}
 		if p.cache != nil {
 			// a miss — or a file the cache could not examine, whose scan
 			// will surface the real error — plans like an uncached file,
@@ -420,7 +405,7 @@ func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
 					p.mu.Unlock()
 					continue
 				}
-				u.Idx, u.Skip, u.Hi = idx, skipBlock, len(idx.Blocks)
+				u.Idx, u.Skip = idx, skipBlock
 			} else if !errors.Is(err, fs.ErrNotExist) {
 				fallbacks++
 				telIdxFallback.Inc()
@@ -429,11 +414,6 @@ func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
 		units = append(units, u)
 	}
 	hits, misses, incr := cached[cacheHitMode], cached[cacheMissMode], cached[cacheIncrMode]
-	// Sub-file units cannot produce storable whole-file state, so the
-	// cache keeps files whole; block pruning within a unit still applies.
-	if jobs > 1 && len(units) > 0 && len(units) < jobs && p.cache == nil {
-		units = splitUnits(units, jobs)
-	}
 	p.mu.Lock()
 	p.stats.Files += int64(len(files))
 	p.stats.FilesIndexed += indexed
@@ -458,54 +438,6 @@ func (p *ScanPlan) PlanUnits(files []string, jobs int) []Unit {
 		qcache.TelMisses.Add(uint64(misses))
 		qcache.TelIncremental.Add(uint64(incr))
 	}
-	return units
-}
-
-// splitUnits repeatedly halves the unit with the most live records (at
-// block granularity) until there are jobs units or nothing splittable
-// remains, then restores (FileIdx, Lo) order.
-func splitUnits(units []Unit, jobs int) []Unit {
-	for len(units) < jobs {
-		// pick the splittable unit with the most live records
-		best, bestLive := -1, int64(1) // require at least 2 live records
-		for i := range units {
-			u := &units[i]
-			if u.Idx == nil || u.Hi-u.Lo < 2 {
-				continue
-			}
-			if live := u.liveRecords(); live > bestLive {
-				best, bestLive = i, live
-			}
-		}
-		if best < 0 {
-			break
-		}
-		u := units[best]
-		// find the block boundary closest to half the live records
-		half := bestLive / 2
-		mid, acc := u.Lo+1, int64(0)
-		for bi := u.Lo; bi < u.Hi-1; bi++ {
-			if !u.Skip[bi] {
-				acc += int64(u.Idx.Blocks[bi].Records)
-			}
-			if acc >= half {
-				mid = bi + 1
-				break
-			}
-		}
-		left := Unit{FileIdx: u.FileIdx, File: u.File, Idx: u.Idx, Skip: u.Skip, Lo: u.Lo, Hi: mid}
-		right := Unit{FileIdx: u.FileIdx, File: u.File, Idx: u.Idx, Skip: u.Skip, Lo: mid, Hi: u.Hi}
-		if left.liveRecords() == 0 || right.liveRecords() == 0 {
-			break // a half with no records gains nothing; stop splitting
-		}
-		units = append(units[:best], append([]Unit{left, right}, units[best+1:]...)...)
-	}
-	sort.Slice(units, func(i, j int) bool {
-		if units[i].FileIdx != units[j].FileIdx {
-			return units[i].FileIdx < units[j].FileIdx
-		}
-		return units[i].Lo < units[j].Lo
-	})
 	return units
 }
 
@@ -581,7 +513,7 @@ func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *c
 		actSeek
 	)
 	actionOf := func(bi int) int {
-		if bi >= u.Lo && !u.Skip[bi] {
+		if !u.Skip[bi] {
 			return actFull
 		}
 		if blocks[bi].MetaLines == 0 {
@@ -589,20 +521,15 @@ func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *c
 		}
 		return actMeta
 	}
-	for bi := 0; bi < u.Hi; {
+	for bi := 0; bi < len(blocks); {
 		act := actionOf(bi)
 		// coalesce a run of same-action blocks into one operation
 		end := bi + 1
-		for end < u.Hi && actionOf(end) == act {
+		for end < len(blocks) && actionOf(end) == act {
 			end++
 		}
 		runEnd := blocks[end-1].Offset + blocks[end-1].Length
-		// account only the target range [Lo, Hi); the prefix is overhead
-		// already attributed to the unit that owns those blocks
 		for i := bi; i < end; i++ {
-			if i < u.Lo {
-				continue
-			}
 			b := &blocks[i]
 			switch act {
 			case actFull:
@@ -659,7 +586,7 @@ func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *c
 func (p *ScanPlan) ScanFiles(eng *Engine, files []string, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	records := 0
 	var bytes int64
-	for _, u := range p.PlanUnits(files, 1) {
+	for _, u := range p.PlanUnits(files, 0) {
 		n, nb, err := p.ScanUnit(eng, u, reg, tree)
 		records += n
 		bytes += nb

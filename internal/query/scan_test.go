@@ -248,29 +248,6 @@ func TestScanMissingIndexIsNotAFallback(t *testing.T) {
 	}
 }
 
-func TestPlanUnitsSplitsLargeFile(t *testing.T) {
-	files := rankedDataset(t, 1, 64, 8) // 8 blocks
-	q := calql.MustParse("AGGREGATE count GROUP BY kernel")
-	plan := NewScanPlan(q, ScanOptions{UseIndex: true})
-	units := plan.PlanUnits(files, 4)
-	if len(units) != 4 {
-		t.Fatalf("got %d units, want 4: %+v", len(units), units)
-	}
-	covered := 0
-	for i, u := range units {
-		if u.File != files[0] || u.Idx == nil {
-			t.Fatalf("unit %d = %+v, want block range of the single file", i, u)
-		}
-		if i > 0 && units[i-1].Hi != u.Lo {
-			t.Errorf("unit %d starts at block %d, prev ended at %d", i, u.Lo, units[i-1].Hi)
-		}
-		covered += u.Hi - u.Lo
-	}
-	if covered != 8 {
-		t.Errorf("units cover %d blocks, want 8", covered)
-	}
-}
-
 func TestProjectionOnlyForAggregation(t *testing.T) {
 	sel := NewScanPlan(calql.MustParse("SELECT * WHERE mpi.rank = 1"), ScanOptions{UseIndex: true})
 	if sel.Projection() != nil {
