@@ -34,6 +34,12 @@ bench-module:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# The micro-benchmarks BENCH_query.json tracks: the query side, and the
+# paper's Table I (one on-line snapshot under schemes A, B and C, root
+# package) as the runtime side's trajectory next to it.
+QUERY_BENCH = QueryFilesSharded|WhereCompiled|WhereEvalCondition|SortRows|BenchmarkMerge|IndexedScan|CachedQuery|TableIScheme
+QUERY_PKGS = ./calql/ ./internal/query/ ./internal/core/ .
+
 # Measure the observability overhead paths — the span tracer and the
 # telemetry-history recorder (enabled and disabled) — and record the
 # results as machine-readable JSON; the disabled paths must report
@@ -45,8 +51,7 @@ bench-json:
 		| $(GO) run ./cmd/benchjson > BENCH_trace.json
 	@cat BENCH_trace.json
 	@if [ -f BENCH_query.json ]; then cp BENCH_query.json BENCH_query.prev.json; fi
-	$(GO) test -run '^$$' -bench 'QueryFilesSharded|WhereCompiled|WhereEvalCondition|SortRows|BenchmarkMerge|IndexedScan|CachedQuery' \
-		-benchmem ./calql/ ./internal/query/ ./internal/core/ \
+	$(GO) test -run '^$$' -bench '$(QUERY_BENCH)' -benchmem $(QUERY_PKGS) \
 		| $(GO) run ./cmd/benchjson > BENCH_query.json
 	@cat BENCH_query.json
 
@@ -63,8 +68,7 @@ bench-calibrate:
 		echo "calibration run $$i/$(CALIBRATE_RUNS)"; \
 		{ $(GO) test -run '^$$' -bench 'BenchmarkTraceOverhead|BenchmarkHistoryCapture' -benchmem \
 			./internal/trace/ ./internal/obs/history/; \
-		  $(GO) test -run '^$$' -bench 'QueryFilesSharded|WhereCompiled|WhereEvalCondition|SortRows|BenchmarkMerge|IndexedScan|CachedQuery' \
-			-benchmem ./calql/ ./internal/query/ ./internal/core/; } \
+		  $(GO) test -run '^$$' -bench '$(QUERY_BENCH)' -benchmem $(QUERY_PKGS); } \
 			| $(GO) run ./cmd/benchjson > BENCH_run.$$i.json || exit 1; \
 	done
 	$(GO) run ./cmd/benchjson -calibrate BENCH_noise.json BENCH_run.*.json

@@ -108,7 +108,13 @@ type Channel struct {
 	preEndMeas   []func(t *Thread, a attr.Attribute)
 	preEndTrig   []func(t *Thread, a attr.Attribute)
 	onSnapshot   []func(t *Thread, sb *snapshot.Builder)
-	procSnap     []func(t *Thread, rec snapshot.Record)
+	// procSnap callbacks borrow rec: it lives in the thread's reused
+	// builder and is valid only for the call.
+	procSnap []func(t *Thread, rec snapshot.Record)
+
+	// threadState holds one constructor per service that keeps per-thread
+	// state, in slot order (addThreadState); Thread runs them all.
+	threadState []func() any
 
 	mu      sync.Mutex
 	threads []*Thread
@@ -277,8 +283,12 @@ func (ch *Channel) Globals() []attr.Entry {
 // aggregation databases, which avoid locks on the hot path).
 func (ch *Channel) Thread() *Thread {
 	t := &Thread{
-		ch: ch,
-		bb: blackboard.New(ch.tree, ch.reg),
+		ch:    ch,
+		bb:    blackboard.New(ch.tree, ch.reg),
+		state: make([]any, len(ch.threadState)),
+	}
+	for slot, mk := range ch.threadState {
+		t.state[slot] = mk()
 	}
 	if ch.sampling {
 		t.mu = &sync.Mutex{}
@@ -288,6 +298,14 @@ func (ch *Channel) Thread() *Thread {
 	ch.threads = append(ch.threads, t)
 	ch.mu.Unlock()
 	return t
+}
+
+// addThreadState registers a service's per-thread state constructor and
+// returns the slot of Thread.state that will hold its result. Services call
+// it while the channel is being built, before any thread exists.
+func (ch *Channel) addThreadState(mk func() any) (slot int) {
+	ch.threadState = append(ch.threadState, mk)
+	return len(ch.threadState) - 1
 }
 
 // Flush collects the output records of all processing services across all

@@ -347,8 +347,18 @@ func TestSamplerConcurrentWithAnnotations(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, err := ch.Flush(); err != nil {
+	rows, err := ch.Flush() // stops the sampler first
+	if err != nil {
 		t.Fatal(err)
+	}
+	// every snapshot, owner- or sampler-triggered, went through the
+	// thread's one scratch record and was aggregated exactly once
+	var sum uint64
+	for _, r := range rows {
+		sum += uint64(getInt(t, r, "aggregate.count"))
+	}
+	if sum != ch.Snapshots() || sum < 4*600 {
+		t.Errorf("aggregated %d snapshots, took %d (at least %d from events)", sum, ch.Snapshots(), 4*600)
 	}
 }
 

@@ -98,9 +98,8 @@ func newTimerService(ch *Channel, cfg Config) (service, error) {
 		}
 	}
 
-	state := func(t *Thread) *timerState {
-		return t.serviceState(svc, func() any { return &timerState{pending: -1, last: -1} }).(*timerState)
-	}
+	slot := ch.addThreadState(func() any { return &timerState{pending: -1, last: -1} })
+	state := func(t *Thread) *timerState { return t.state[slot].(*timerState) }
 
 	if svc.incl {
 		ch.preBeginMeas = append(ch.preBeginMeas, func(t *Thread, a attr.Attribute, _ attr.Variant) {
@@ -146,6 +145,7 @@ func (*timerService) name() string { return "timer" }
 type aggregateService struct {
 	scheme *core.Scheme
 	where  []calql.Condition
+	slot   int // of the per-thread aggregateState
 }
 
 // aggregateState is one thread's share of the service: its database and
@@ -177,23 +177,29 @@ func newAggregateService(ch *Channel, cfg Config) (service, error) {
 	}
 	svc := &aggregateService{scheme: scheme, where: q.Where}
 
-	ch.procSnap = append(ch.procSnap, func(t *Thread, rec snapshot.Record) {
-		st := t.serviceState(svc, func() any {
-			db, err := core.NewDB(svc.scheme, ch.reg)
-			if err != nil {
-				panic(err) // scheme was validated at startup
-			}
-			return &aggregateState{db: db, where: query.CompileWhere(svc.where, ch.reg)}
-		}).(*aggregateState)
-		flat, err := rec.Unpack(ch.tree, ch.reg)
+	svc.slot = ch.addThreadState(func() any {
+		db, err := core.NewDB(svc.scheme, ch.reg)
 		if err != nil {
+			panic(err) // scheme was validated at startup
+		}
+		return &aggregateState{db: db, where: query.CompileWhere(svc.where, ch.reg)}
+	})
+	ch.procSnap = append(ch.procSnap, func(t *Thread, rec snapshot.Record) {
+		st := svc.state(t)
+		var err error
+		if t.flat, err = rec.UnpackInto(t.flat, ch.tree, ch.reg); err != nil {
 			return // skip malformed records
 		}
-		if st.where.Match(flat) {
-			st.db.Update(flat)
+		// Neither keeps the record: Update copies what it aggregates.
+		if st.where.Match(t.flat) {
+			st.db.Update(t.flat)
 		}
 	})
 	return svc, nil
+}
+
+func (svc *aggregateService) state(t *Thread) *aggregateState {
+	return t.state[svc.slot].(*aggregateState)
 }
 
 func (*aggregateService) name() string { return "aggregate" }
@@ -206,11 +212,7 @@ func (svc *aggregateService) flush(ch *Channel, emit func(snapshot.FlatRecord) e
 		return err
 	}
 	for _, t := range ch.threadsSnapshot() {
-		v, ok := t.state.Load(svc)
-		if !ok {
-			continue
-		}
-		db := v.(*aggregateState).db
+		db := svc.state(t).db
 		if err := merged.Merge(db); err != nil {
 			return err
 		}
@@ -234,10 +236,8 @@ func (ch *Channel) OutputRecords() int {
 			return 0
 		}
 		for _, t := range ch.threadsSnapshot() {
-			if v, ok := t.state.Load(svc); ok {
-				if err := merged.Merge(v.(*aggregateState).db); err != nil {
-					return 0
-				}
+			if err := merged.Merge(agg.state(t).db); err != nil {
+				return 0
 			}
 		}
 		return merged.Len()
@@ -250,30 +250,32 @@ func (ch *Channel) OutputRecords() int {
 // at flush. This is the configuration the paper's overhead study compares
 // aggregation against.
 
-type traceService struct{}
+type traceService struct {
+	slot int // of the per-thread traceState
+}
 
 type traceState struct {
 	records []snapshot.Record
 }
 
 func newTraceService(ch *Channel, _ Config) (service, error) {
-	svc := &traceService{}
+	svc := &traceService{slot: ch.addThreadState(func() any { return &traceState{} })}
 	ch.procSnap = append(ch.procSnap, func(t *Thread, rec snapshot.Record) {
-		st := t.serviceState(svc, func() any { return &traceState{} }).(*traceState)
-		st.records = append(st.records, rec)
+		st := svc.state(t)
+		st.records = append(st.records, rec.Clone()) // rec is borrowed
 	})
 	return svc, nil
+}
+
+func (svc *traceService) state(t *Thread) *traceState {
+	return t.state[svc.slot].(*traceState)
 }
 
 func (*traceService) name() string { return "trace" }
 
 func (svc *traceService) flush(ch *Channel, emit func(snapshot.FlatRecord) error) error {
 	for _, t := range ch.threadsSnapshot() {
-		v, ok := t.state.Load(svc)
-		if !ok {
-			continue
-		}
-		st := v.(*traceState)
+		st := svc.state(t)
 		for _, rec := range st.records {
 			flat, err := rec.Unpack(ch.tree, ch.reg)
 			if err != nil {
@@ -297,9 +299,7 @@ func (ch *Channel) TraceLength() int {
 			continue
 		}
 		for _, t := range ch.threadsSnapshot() {
-			if v, ok := t.state.Load(ts); ok {
-				n += len(v.(*traceState).records)
-			}
+			n += len(ts.state(t).records)
 		}
 	}
 	return n

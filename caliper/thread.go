@@ -36,8 +36,17 @@ type Thread struct {
 	// mu is non-nil only when sampling is enabled.
 	mu *sync.Mutex
 
-	// state holds per-service thread state, keyed by service pointer.
-	state sync.Map
+	// state holds per-service thread state, indexed by the slot
+	// Channel.addThreadState gave the service. Filled by Channel.Thread and
+	// never written again, so reading it takes no lock.
+	state []any
+
+	// sb and flat are the snapshot scratch: takeSnapshot assembles every
+	// record in sb, and processing services expand it into flat. Both are
+	// touched only inside takeSnapshot (under the thread lock when
+	// sampling), and what they hold is overwritten by the next snapshot.
+	sb   snapshot.Builder
+	flat snapshot.FlatRecord
 
 	// virtNow is the thread's virtual-time source in nanoseconds, used by
 	// the timer service when the channel is configured with
@@ -83,16 +92,6 @@ func (t *Thread) Updates() uint64 { return t.bb.Updates() }
 
 // Snapshots reports the number of snapshots taken on this thread.
 func (t *Thread) Snapshots() uint64 { return t.snapshots.Load() }
-
-// serviceState returns this thread's state for a service, creating it
-// with mk on first use.
-func (t *Thread) serviceState(key any, mk func() any) any {
-	if v, ok := t.state.Load(key); ok {
-		return v
-	}
-	v, _ := t.state.LoadOrStore(key, mk())
-	return v
-}
 
 // resolve finds or creates the attribute for an annotation. New attributes
 // default to nested regions (begin/end stack semantics) of the value's
@@ -149,7 +148,7 @@ func (t *Thread) Begin(name string, value any) error {
 	}
 	err = t.bb.Begin(a, v)
 	t.unlock()
-	if err == nil {
+	if err == nil && trace.Enabled() { // format the span name only when it is recorded
 		if sp := trace.BeginRank(v.String(), int(t.traceRank.Load())); sp.Active() {
 			sp.SetTid(t.index)
 			sp.Arg("attr", name)
@@ -161,13 +160,16 @@ func (t *Thread) Begin(name string, value any) error {
 
 // End closes the innermost open region of the named attribute. With the
 // event service enabled, a snapshot is taken before the region is popped,
-// so its data is still attributed to the region.
+// so its data is still attributed to the region. An End that fails — no
+// open region, mismatched nesting — fires no callback and takes no snapshot.
 func (t *Thread) End(name string) error {
 	a, ok := t.ch.reg.Find(name)
 	if !ok {
 		return fmt.Errorf("caliper: End(%s): unknown attribute", name)
 	}
-	events := a.Properties()&attr.SkipEvents == 0
+	// An End that will fail announces nothing; bb.End below reports it. Only
+	// the owner changes the blackboard, so it checks without the lock.
+	events := a.Properties()&attr.SkipEvents == 0 && t.bb.CheckEnd(a) == nil
 	if events {
 		t.lock()
 		for _, fn := range t.ch.preEndMeas {
@@ -233,7 +235,9 @@ func (t *Thread) Snapshot() {
 // takeSnapshot builds and dispatches one snapshot record. The whole
 // capture-measure-process sequence runs under the thread lock (when
 // sampling), so owner-triggered and sampler-triggered snapshots serialize
-// against blackboard updates and per-thread service state.
+// against blackboard updates and per-thread service state. The record is
+// assembled in the thread's reused builder, so processing callbacks borrow
+// it: it is valid for the call, and a service that keeps it clones it.
 func (t *Thread) takeSnapshot() {
 	var snapStart time.Time
 	if telemetry.Enabled() {
@@ -244,12 +248,12 @@ func (t *Thread) takeSnapshot() {
 	defer sp.End()
 	t.lock()
 	defer t.unlock()
-	var sb snapshot.Builder
-	t.bb.Snapshot(&sb)
+	t.sb.Reset()
+	t.bb.Snapshot(&t.sb)
 	for _, fn := range t.ch.onSnapshot {
-		fn(t, &sb)
+		fn(t, &t.sb)
 	}
-	rec := sb.Record()
+	rec := t.sb.Record()
 	t.snapshots.Add(1)
 	t.ch.snapshots.Add(1)
 	for _, fn := range t.ch.procSnap {

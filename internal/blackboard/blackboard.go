@@ -26,38 +26,85 @@ import (
 // Blackboard tracks the current attribute state for one thread.
 type Blackboard struct {
 	tree *contexttree.Tree
-	reg  *attr.Registry
 
 	// nested is the tip of the shared context-tree branch holding all
-	// currently open Nested attribute regions; nestedStack remembers the
-	// chain for validation and pop.
+	// currently open Nested attribute regions; nestedStack remembers, per
+	// open region, its attribute (for validation) and the tip below it (so
+	// End pops without asking the tree).
 	nested      contexttree.NodeID
-	nestedStack []attr.ID
+	nestedStack []nestedRegion
 
 	// refStacks holds, per non-nested reference attribute, the stack of
 	// tree nodes (each node chains onto the previous one of the same
-	// attribute, so the node path encodes the stack).
-	refStacks map[attr.ID][]contexttree.NodeID
+	// attribute, so the node path encodes the stack); immStacks holds the
+	// value stacks of AsValue attributes. Both are in first-Begin order,
+	// which is the order Snapshot emits them in.
+	refStacks []stack[contexttree.NodeID]
+	immStacks []stack[attr.Variant]
 
-	// immStacks holds value stacks for AsValue attributes.
-	immStacks map[attr.ID][]attr.Variant
-
-	// updates counts state-changing operations (for tests and stats).
+	// updates counts Begin, End and Set calls on valid attributes, an End
+	// that fails included (for tests and stats).
 	updates uint64
 }
 
-// New returns a blackboard writing reference entries into tree.
-func New(tree *contexttree.Tree, reg *attr.Registry) *Blackboard {
-	return &Blackboard{
-		tree:      tree,
-		reg:       reg,
-		nested:    contexttree.InvalidNode,
-		refStacks: map[attr.ID][]contexttree.NodeID{},
-		immStacks: map[attr.ID][]attr.Variant{},
-	}
+type nestedRegion struct {
+	attr   attr.Attribute
+	parent contexttree.NodeID
 }
 
-// Updates returns the number of state-changing operations performed.
+// stack is one attribute's open values, innermost last. It keeps the
+// attribute handle of the latest Begin or Set, so Snapshot sees properties
+// merged in since the first one.
+type stack[T any] struct {
+	attr  attr.Attribute
+	items []T
+}
+
+// stackOf returns attribute a's stack among stacks. With create a missing
+// one is appended (and a found one takes a as its handle); without, a
+// missing one is nil.
+func stackOf[T any](stacks *[]stack[T], a attr.Attribute, create bool) *stack[T] {
+	for i := range *stacks {
+		if st := &(*stacks)[i]; st.attr.ID() == a.ID() {
+			if create {
+				st.attr = a
+			}
+			return st
+		}
+	}
+	if !create {
+		return nil
+	}
+	*stacks = append(*stacks, stack[T]{attr: a})
+	return &(*stacks)[len(*stacks)-1]
+}
+
+// top returns the innermost open value; ok is false on a missing or empty
+// stack.
+func (st *stack[T]) top() (v T, ok bool) {
+	if st.depth() == 0 {
+		return v, false
+	}
+	return st.items[len(st.items)-1], true
+}
+
+// depth returns the number of open values, 0 for a missing stack.
+func (st *stack[T]) depth() int {
+	if st == nil {
+		return 0
+	}
+	return len(st.items)
+}
+
+// New returns a blackboard writing reference entries into tree. The
+// blackboard keeps the attribute handles it is given and reads no registry;
+// the parameter stays because bench/ constructs blackboards with one.
+func New(tree *contexttree.Tree, _ *attr.Registry) *Blackboard {
+	return &Blackboard{tree: tree, nested: contexttree.InvalidNode}
+}
+
+// Updates returns the number of Begin, End and Set calls made on valid
+// attributes.
 func (b *Blackboard) Updates() uint64 { return b.updates }
 
 // Begin opens a region: pushes value v for attribute a.
@@ -68,54 +115,61 @@ func (b *Blackboard) Begin(a attr.Attribute, v attr.Variant) error {
 	b.updates++
 	switch {
 	case a.StoreAsValue():
-		b.immStacks[a.ID()] = append(b.immStacks[a.ID()], v)
+		st := stackOf(&b.immStacks, a, true)
+		st.items = append(st.items, v)
 	case a.IsNested():
+		b.nestedStack = append(b.nestedStack, nestedRegion{attr: a, parent: b.nested})
 		b.nested = b.tree.GetChild(b.nested, a, v)
-		b.nestedStack = append(b.nestedStack, a.ID())
 	default:
-		st := b.refStacks[a.ID()]
+		st := stackOf(&b.refStacks, a, true)
 		parent := contexttree.InvalidNode
-		if len(st) > 0 {
-			parent = st[len(st)-1]
+		if len(st.items) > 0 {
+			parent = st.items[len(st.items)-1]
 		}
-		b.refStacks[a.ID()] = append(st, b.tree.GetChild(parent, a, v))
+		st.items = append(st.items, b.tree.GetChild(parent, a, v))
 	}
 	return nil
 }
 
-// End closes the innermost open region of attribute a. Ending an attribute
-// that is not the innermost open Nested region is an error (mismatched
-// nesting), as is ending an attribute with no open region.
+// CheckEnd reports the error End(a) would return for a valid attribute,
+// changing nothing: ending an attribute that is not the innermost open
+// Nested region is an error (mismatched nesting), as is ending an attribute
+// with no open region.
+func (b *Blackboard) CheckEnd(a attr.Attribute) error {
+	if n := len(b.nestedStack); n > 0 && a.IsNested() && !a.StoreAsValue() {
+		if top := b.nestedStack[n-1].attr; top.ID() != a.ID() {
+			return fmt.Errorf("blackboard: End(%s): mismatched nesting, innermost open region is %s",
+				a.Name(), top.Name())
+		}
+		return nil
+	}
+	if b.Depth(a) == 0 {
+		return fmt.Errorf("blackboard: End(%s): no open region", a.Name())
+	}
+	return nil
+}
+
+// End closes the innermost open region of attribute a, or returns
+// CheckEnd's error and leaves the stacks as they were.
 func (b *Blackboard) End(a attr.Attribute) error {
 	if !a.IsValid() {
 		return fmt.Errorf("blackboard: End: invalid attribute")
 	}
 	b.updates++
+	if err := b.CheckEnd(a); err != nil {
+		return err
+	}
 	switch {
 	case a.StoreAsValue():
-		st := b.immStacks[a.ID()]
-		if len(st) == 0 {
-			return fmt.Errorf("blackboard: End(%s): no open region", a.Name())
-		}
-		b.immStacks[a.ID()] = st[:len(st)-1]
+		st := stackOf(&b.immStacks, a, false)
+		st.items = st.items[:len(st.items)-1]
 	case a.IsNested():
-		if len(b.nestedStack) == 0 {
-			return fmt.Errorf("blackboard: End(%s): no open region", a.Name())
-		}
-		top := b.nestedStack[len(b.nestedStack)-1]
-		if top != a.ID() {
-			topAttr, _ := b.reg.Get(top)
-			return fmt.Errorf("blackboard: End(%s): mismatched nesting, innermost open region is %s",
-				a.Name(), topAttr.Name())
-		}
-		b.nestedStack = b.nestedStack[:len(b.nestedStack)-1]
-		b.nested = b.tree.Parent(b.nested)
+		top := len(b.nestedStack) - 1
+		b.nested = b.nestedStack[top].parent
+		b.nestedStack = b.nestedStack[:top]
 	default:
-		st := b.refStacks[a.ID()]
-		if len(st) == 0 {
-			return fmt.Errorf("blackboard: End(%s): no open region", a.Name())
-		}
-		b.refStacks[a.ID()] = st[:len(st)-1]
+		st := stackOf(&b.refStacks, a, false)
+		st.items = st.items[:len(st.items)-1]
 	}
 	return nil
 }
@@ -131,29 +185,29 @@ func (b *Blackboard) Set(a attr.Attribute, v attr.Variant) error {
 	b.updates++
 	switch {
 	case a.StoreAsValue():
-		st := b.immStacks[a.ID()]
-		if len(st) == 0 {
-			b.immStacks[a.ID()] = append(st, v)
+		st := stackOf(&b.immStacks, a, true)
+		if len(st.items) == 0 {
+			st.items = append(st.items, v)
 		} else {
-			st[len(st)-1] = v
+			st.items[len(st.items)-1] = v
 		}
 	case a.IsNested():
-		if len(b.nestedStack) > 0 && b.nestedStack[len(b.nestedStack)-1] == a.ID() {
-			b.nested = b.tree.GetChild(b.tree.Parent(b.nested), a, v)
+		if top := len(b.nestedStack) - 1; top >= 0 && b.nestedStack[top].attr.ID() == a.ID() {
+			b.nested = b.tree.GetChild(b.nestedStack[top].parent, a, v)
 		} else {
+			b.nestedStack = append(b.nestedStack, nestedRegion{attr: a, parent: b.nested})
 			b.nested = b.tree.GetChild(b.nested, a, v)
-			b.nestedStack = append(b.nestedStack, a.ID())
 		}
 	default:
-		st := b.refStacks[a.ID()]
-		if len(st) == 0 {
-			b.refStacks[a.ID()] = append(st, b.tree.GetChild(contexttree.InvalidNode, a, v))
+		st := stackOf(&b.refStacks, a, true)
+		if len(st.items) == 0 {
+			st.items = append(st.items, b.tree.GetChild(contexttree.InvalidNode, a, v))
 		} else {
 			parent := contexttree.InvalidNode
-			if len(st) > 1 {
-				parent = st[len(st)-2]
+			if len(st.items) > 1 {
+				parent = st.items[len(st.items)-2]
 			}
-			st[len(st)-1] = b.tree.GetChild(parent, a, v)
+			st.items[len(st.items)-1] = b.tree.GetChild(parent, a, v)
 		}
 	}
 	return nil
@@ -163,19 +217,15 @@ func (b *Blackboard) Set(a attr.Attribute, v attr.Variant) error {
 func (b *Blackboard) Get(a attr.Attribute) (attr.Variant, bool) {
 	switch {
 	case a.StoreAsValue():
-		st := b.immStacks[a.ID()]
-		if len(st) == 0 {
-			return attr.Variant{}, false
-		}
-		return st[len(st)-1], true
+		return stackOf(&b.immStacks, a, false).top()
 	case a.IsNested():
 		return b.tree.FindInPath(b.nested, a.ID())
 	default:
-		st := b.refStacks[a.ID()]
-		if len(st) == 0 {
+		tip, ok := stackOf(&b.refStacks, a, false).top()
+		if !ok {
 			return attr.Variant{}, false
 		}
-		aid, v, err := b.tree.Entry(st[len(st)-1])
+		aid, v, err := b.tree.Entry(tip)
 		if err != nil || aid != a.ID() {
 			return attr.Variant{}, false
 		}
@@ -187,46 +237,40 @@ func (b *Blackboard) Get(a attr.Attribute) (attr.Variant, bool) {
 func (b *Blackboard) Depth(a attr.Attribute) int {
 	switch {
 	case a.StoreAsValue():
-		return len(b.immStacks[a.ID()])
+		return stackOf(&b.immStacks, a, false).depth()
 	case a.IsNested():
 		n := 0
-		for _, id := range b.nestedStack {
-			if id == a.ID() {
+		for _, r := range b.nestedStack {
+			if r.attr.ID() == a.ID() {
 				n++
 			}
 		}
 		return n
 	default:
-		return len(b.refStacks[a.ID()])
+		return stackOf(&b.refStacks, a, false).depth()
 	}
 }
 
 // Snapshot appends a compressed copy of the current blackboard contents to
-// the builder: the nested-branch tip node, the tip node of every non-empty
-// reference stack, and the top value of every non-empty immediate stack.
-// Hidden attributes are skipped.
+// the builder: the nested-branch tip node, then the tip node of every
+// non-empty reference stack and the top value of every non-empty immediate
+// stack, each in first-Begin order, so the same program state always gives
+// the same record. Hidden attributes are skipped.
 func (b *Blackboard) Snapshot(sb *snapshot.Builder) {
 	if b.nested != contexttree.InvalidNode {
 		sb.AddNode(b.nested)
 	}
-	for id, st := range b.refStacks {
-		if len(st) == 0 {
-			continue
+	for i := range b.refStacks {
+		st := &b.refStacks[i]
+		if tip, ok := st.top(); ok && st.attr.Properties()&attr.Hidden == 0 {
+			sb.AddNode(tip)
 		}
-		if a, ok := b.reg.Get(id); ok && a.Properties()&attr.Hidden != 0 {
-			continue
-		}
-		sb.AddNode(st[len(st)-1])
 	}
-	for id, st := range b.immStacks {
-		if len(st) == 0 {
-			continue
+	for i := range b.immStacks {
+		st := &b.immStacks[i]
+		if v, ok := st.top(); ok && st.attr.Properties()&attr.Hidden == 0 {
+			sb.AddImmediate(st.attr, v)
 		}
-		a, ok := b.reg.Get(id)
-		if !ok || a.Properties()&attr.Hidden != 0 {
-			continue
-		}
-		sb.AddImmediate(a, st[len(st)-1])
 	}
 }
 
@@ -234,10 +278,6 @@ func (b *Blackboard) Snapshot(sb *snapshot.Builder) {
 func (b *Blackboard) Clear() {
 	b.nested = contexttree.InvalidNode
 	b.nestedStack = b.nestedStack[:0]
-	for k := range b.refStacks {
-		delete(b.refStacks, k)
-	}
-	for k := range b.immStacks {
-		delete(b.immStacks, k)
-	}
+	b.refStacks = b.refStacks[:0]
+	b.immStacks = b.immStacks[:0]
 }

@@ -2,6 +2,7 @@ package blackboard
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -332,5 +333,43 @@ func TestQuickStackDiscipline(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSnapshotOrderIsFirstBegin: with several reference and several
+// as-value attributes open, every snapshot lists them in the order they
+// were first begun — not in an order that changes from call to call.
+func TestSnapshotOrderIsFirstBegin(t *testing.T) {
+	fx := newFixture(t)
+	var want []string
+	for _, name := range []string{"ref.c", "ref.a", "ref.b"} {
+		a := fx.reg.MustCreate(name, attr.Int, 0)
+		if err := fx.bb.Begin(a, attr.IntV(1)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, name)
+	}
+	for _, name := range []string{"val.b", "val.c", "val.a"} {
+		a := fx.reg.MustCreate(name, attr.Int, attr.AsValue)
+		if err := fx.bb.Begin(a, attr.IntV(2)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, name)
+	}
+	for i := 0; i < 200; i++ {
+		// closing and reopening one keeps its place
+		if err := fx.bb.End(fx.reg.MustCreate("ref.a", attr.Int, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.bb.Begin(fx.reg.MustCreate("ref.a", attr.Int, 0), attr.IntV(1)); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range fx.flat(t) {
+			got = append(got, e.Attr.Name())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("snapshot %d lists %v, want %v", i, got, want)
+		}
 	}
 }

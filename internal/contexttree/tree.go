@@ -11,6 +11,7 @@ package contexttree
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"caligo/internal/attr"
@@ -28,6 +29,10 @@ type node struct {
 	id     NodeID
 	parent NodeID
 	attr   attr.ID
+	// handle is the attribute GetChild was given, so expanding a path
+	// needs no registry lookup per entry. AddRaw knows only the id and
+	// leaves it invalid; AppendPath then resolves the id through reg.
+	handle attr.Attribute
 	value  attr.Variant
 }
 
@@ -82,7 +87,7 @@ func (t *Tree) GetChild(parent NodeID, a attr.Attribute, v attr.Variant) NodeID 
 		return id
 	}
 	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, node{id: id, parent: parent, attr: a.ID(), value: v})
+	t.nodes = append(t.nodes, node{id: id, parent: parent, attr: a.ID(), handle: a, value: v})
 	m[key] = id
 	return id
 }
@@ -119,32 +124,41 @@ func (t *Tree) Entry(id NodeID) (attr.ID, attr.Variant, error) {
 }
 
 // Path returns the entries on the path from the root down to id, in
-// root-to-node order, resolving attribute ids through reg. The result is
-// allocated once at its exact size.
+// root-to-node order: AppendPath into a fresh slice.
 func (t *Tree) Path(id NodeID, reg *attr.Registry) ([]attr.Entry, error) {
+	return t.AppendPath(nil, id, reg)
+}
+
+// AppendPath appends the entries on the path from the root down to id to
+// dst, in root-to-node order, and returns the extended slice. It allocates
+// only when dst lacks the capacity. Nodes made by GetChild carry their
+// attribute (as it was when the node was created); nodes made by AddRaw are
+// resolved through reg. On error dst is returned at its original length.
+func (t *Tree) AppendPath(dst []attr.Entry, id NodeID, reg *attr.Registry) ([]attr.Entry, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	depth := 0
 	for n := id; n != InvalidNode; n = t.nodes[n].parent {
 		if n < 0 || int(n) >= len(t.nodes) {
-			return nil, fmt.Errorf("contexttree: invalid node id %d", n)
+			return dst, fmt.Errorf("contexttree: invalid node id %d", n)
 		}
 		depth++
 	}
-	if depth == 0 {
-		return nil, nil
-	}
-	path := make([]attr.Entry, depth)
-	for i := depth - 1; i >= 0; i-- {
-		n := t.nodes[id]
-		a, ok := reg.Get(n.attr)
-		if !ok {
-			return nil, fmt.Errorf("contexttree: node %d references unknown attribute %d", id, n.attr)
+	base := len(dst)
+	dst = slices.Grow(dst, depth)[:base+depth]
+	for i := base + depth - 1; i >= base; i-- {
+		n := &t.nodes[id]
+		a := n.handle
+		if !a.IsValid() {
+			var ok bool
+			if a, ok = reg.Get(n.attr); !ok {
+				return dst[:base], fmt.Errorf("contexttree: node %d references unknown attribute %d", id, n.attr)
+			}
 		}
-		path[i] = attr.Entry{Attr: a, Value: n.value}
+		dst[i] = attr.Entry{Attr: a, Value: n.value}
 		id = n.parent
 	}
-	return path, nil
+	return dst, nil
 }
 
 // FindInPath walks from id toward the root and returns the first (deepest)

@@ -2,6 +2,7 @@ package contexttree
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -83,6 +84,33 @@ func TestPathAllocBudget(t *testing.T) {
 	})
 	if avg != 1 {
 		t.Fatalf("Path = %.2f allocs, want 1", avg)
+	}
+}
+
+// TestAppendPath: AppendPath extends dst after what it already holds,
+// allocates nothing once dst has the capacity, and returns dst at its old
+// length when the node id is bad.
+func TestAppendPath(t *testing.T) {
+	reg, fn, _, iter := testReg(t)
+	tree := New()
+	n := tree.GetChild(InvalidNode, fn, attr.StringV("main"))
+	raw, err := tree.AddRaw(n, iter.ID(), attr.IntV(7)) // no attribute handle, resolved through reg
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := attr.Entry{Attr: iter, Value: attr.IntV(-1)}
+	dst, err := tree.AppendPath([]attr.Entry{head}, raw, reg)
+	want := []attr.Entry{head, {Attr: fn, Value: attr.StringV("main")}, {Attr: iter, Value: attr.IntV(7)}}
+	if err != nil || !slices.Equal(dst, want) {
+		t.Fatalf("AppendPath = %v, %v; want %v", dst, err, want)
+	}
+	if dst, err = tree.AppendPath(dst, 42, reg); err == nil || len(dst) != len(want) {
+		t.Errorf("AppendPath of a nonexistent node = %d entries, %v; want %d and an error", len(dst), err, len(want))
+	}
+	if !testutil.RaceEnabled {
+		if avg := testing.AllocsPerRun(100, func() { dst, _ = tree.AppendPath(dst[:0], raw, reg) }); avg != 0 {
+			t.Errorf("AppendPath into a large enough dst = %.2f allocs, want 0", avg)
+		}
 	}
 }
 

@@ -44,19 +44,25 @@ func (r Record) Clone() Record {
 }
 
 // Unpack expands the record into a flat entry list, expanding node
-// references through tree. Entries from node paths appear root-first,
-// followed by immediate entries, preserving record order.
+// references through tree: UnpackInto a fresh record.
 func (r Record) Unpack(tree *contexttree.Tree, reg *attr.Registry) (FlatRecord, error) {
-	var out FlatRecord
+	return r.UnpackInto(nil, tree, reg)
+}
+
+// UnpackInto expands the record into dst's storage and returns it, so a
+// caller that keeps the result as its next dst stops allocating once dst
+// has grown to its largest record. Entries from node paths appear
+// root-first, followed by immediate entries, preserving record order. On
+// error the returned record is empty and still reusable.
+func (r Record) UnpackInto(dst FlatRecord, tree *contexttree.Tree, reg *attr.Registry) (FlatRecord, error) {
+	dst = dst[:0]
 	for _, n := range r.Nodes {
-		path, err := tree.Path(n, reg)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: unpack: %w", err)
+		var err error
+		if dst, err = tree.AppendPath(dst, n, reg); err != nil {
+			return dst[:0], fmt.Errorf("snapshot: unpack: %w", err)
 		}
-		out = append(out, path...)
 	}
-	out = append(out, r.Imm...)
-	return out, nil
+	return append(dst, r.Imm...), nil
 }
 
 // Get returns the deepest value of attribute a in the record, searching
@@ -192,8 +198,9 @@ func (b *Builder) AddImmediate(a attr.Attribute, v attr.Variant) {
 	b.rec.Imm = append(b.rec.Imm, attr.Entry{Attr: a, Value: v})
 }
 
-// Record returns the assembled record. The builder must not be reused
-// after calling Record unless Reset is called.
+// Record returns the assembled record. It shares the builder's storage:
+// Reset, then further Adds, overwrite it, so whoever keeps a record past
+// the builder's next use Clones it.
 func (b *Builder) Record() Record { return b.rec }
 
 // Reset clears the builder for reuse, retaining allocated capacity.

@@ -1,6 +1,9 @@
 package snapshot
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"caligo/internal/attr"
@@ -171,5 +174,65 @@ func TestFlatRecordAccessors(t *testing.T) {
 	}
 	if empty.PathOf(fx.fn.ID(), "/") != "" {
 		t.Error("empty PathOf should be empty string")
+	}
+}
+
+// TestUnpackIntoMatchesUnpack: over generated records, UnpackInto into one
+// reused dst gives exactly what Unpack allocates, an invalid node id is an
+// error from both, and dst stays usable after the error.
+func TestUnpackIntoMatchesUnpack(t *testing.T) {
+	fx := newFixture(t)
+	rng := rand.New(rand.NewSource(15))
+	var nodes []contexttree.NodeID
+	for i := 0; i < 40; i++ {
+		parent := contexttree.InvalidNode
+		if len(nodes) > 0 && rng.Intn(4) > 0 {
+			parent = nodes[rng.Intn(len(nodes))]
+		}
+		if rng.Intn(2) == 0 {
+			nodes = append(nodes, fx.tree.GetChild(parent, fx.fn, attr.StringV(fmt.Sprint("f", rng.Intn(5)))))
+		} else {
+			nodes = append(nodes, fx.tree.GetChild(parent, fx.iter, attr.IntV(int64(rng.Intn(5)))))
+		}
+	}
+	// a node as a decoder adds it: the tree knows only its attribute id
+	raw, err := fx.tree.AddRaw(nodes[0], fx.iter.ID(), attr.IntV(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes = append(nodes, raw)
+
+	var dst FlatRecord
+	for i := 0; i < 500; i++ {
+		var b Builder
+		for n := rng.Intn(4); n > 0; n-- {
+			b.AddNode(nodes[rng.Intn(len(nodes))])
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			b.AddImmediate(fx.dur, attr.FloatV(rng.Float64()))
+		}
+		bad := i%50 == 49
+		if bad {
+			b.AddNode(contexttree.NodeID(fx.tree.Len() + rng.Intn(3)))
+		}
+		rec := b.Record()
+		want, wantErr := rec.Unpack(fx.tree, fx.reg)
+		var gotErr error
+		dst, gotErr = rec.UnpackInto(dst, fx.tree, fx.reg)
+		if bad {
+			if wantErr == nil || gotErr == nil {
+				t.Fatalf("record %d: invalid node id: Unpack err %v, UnpackInto err %v", i, wantErr, gotErr)
+			}
+			if len(dst) != 0 {
+				t.Fatalf("record %d: UnpackInto left %d entries after an error", i, len(dst))
+			}
+			continue
+		}
+		if wantErr != nil || gotErr != nil {
+			t.Fatalf("record %d: Unpack err %v, UnpackInto err %v", i, wantErr, gotErr)
+		}
+		if !slices.Equal(dst, want) {
+			t.Fatalf("record %d: UnpackInto = %v, Unpack = %v", i, dst, want)
+		}
 	}
 }
