@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: build vet test test-race loc bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke check clean
+.PHONY: build fmt vet test test-race loc bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke check clean
 
 build:
 	$(GO) build ./...
+
+# Fails when gofmt would change any file (generated benchmark inputs under
+# bench/.out aside).
+fmt:
+	@out=$$(gofmt -l . | grep -v '^bench/\.out/'); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -133,7 +139,7 @@ history-smoke:
 smoke:
 	$(GO) test -run TestEndpointSmoke -count=1 .
 
-check: build vet test bench-module fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke
+check: build fmt vet test bench-module fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke
 
 clean:
 	$(GO) clean ./...

@@ -112,10 +112,14 @@ func TestInstrumentedRunProducesProfile(t *testing.T) {
 }
 
 func TestCalcDtDominatesKernels(t *testing.T) {
-	// Figure 5's shape: calc-dt has the largest kernel time
+	// Figure 5's shape: calc-dt has the largest kernel time. Virtual time,
+	// as in TestLevel2TimeGrows: sums of wall-clock milliseconds reorder on
+	// a loaded host.
 	cfg := testConfig()
+	cfg.VirtualTime = true
 	perRank := runInstrumented(t, cfg, caliper.Config{
 		"services":      "event,timer,aggregate",
+		"timer.source":  "virtual",
 		"aggregate.key": "kernel",
 		"aggregate.ops": "sum(time.duration)",
 	})

@@ -41,6 +41,7 @@ var (
 	telBytesWritten = telemetry.NewCounter("caligo.calformat.bytes.written")
 	telInterned     = telemetry.NewCounter("caligo.calformat.interned")
 	telScratchBytes = telemetry.NewCounter("caligo.calformat.scratch.bytes")
+	telLinesGeneric = telemetry.NewCounter("caligo.calformat.lines.generic")
 )
 
 // escape protects field- and list-separator characters within values.
@@ -74,6 +75,13 @@ func escape(s string) string {
 // Writer emits a .cali stream. It tracks which attribute and node
 // definitions have been written and emits them on first use, so records
 // can be written in any order. Writer is not safe for concurrent use.
+//
+// The bytes of its node and ctx lines — keys, their order, plain decimal
+// ids — are a contract with the Reader, which decodes exactly that layout
+// positionally and everything else through its slower generic scanner
+// (decode.go, "The canonical layout"). Change ensureNode or WriteRecord
+// and canonNodeLine / canonCtxLine together;
+// TestWriterLinesDecodePositionally fails when they drift apart.
 type Writer struct {
 	w         *bufio.Writer
 	reg       *attr.Registry

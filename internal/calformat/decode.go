@@ -10,8 +10,12 @@ package calformat
 // allocates nothing per record. Context paths expand from a reader-owned
 // node arena (nodeRec), so a stream that defines a fresh node before
 // every record — the shape of an aggregated profile — costs no more per
-// record than one that reuses a single node. Semantics are pinned to the
-// legacy decoder in legacy_test.go by FuzzDecodeDiff.
+// record than one that reuses a single node. Node and ctx lines in the
+// layout our own Writer emits skip the field spans altogether and decode
+// positionally ("The canonical layout", below); the span scanner stays as
+// the only reader of foreign, legacy, escaped or hand-edited lines and the
+// only producer of errors. Semantics are pinned to the legacy decoder in
+// legacy_test.go by FuzzDecodeDiff.
 
 import (
 	"bufio"
@@ -150,18 +154,34 @@ type Reader struct {
 // same either way, so readers that only want records pass nil.
 func NewReader(rd io.Reader, reg *attr.Registry, tree *contexttree.Tree) *Reader {
 	r := &Reader{
-		src:      rd,
-		reg:      reg,
-		tree:     tree,
 		attrMap:  map[int64]attr.Attribute{},
 		interned: map[string]string{},
+		scanBuf:  make([]byte, 64*1024),
 	}
-	if s, ok := rd.(io.Seeker); ok {
-		r.seeker = s
-	}
-	r.scanBuf = make([]byte, 64*1024)
-	r.newScanner()
+	r.Reset(rd, reg, tree)
 	return r
+}
+
+// Reset returns the Reader to its just-constructed state over a new
+// source, keeping only the capacity of its buffers: the scan buffer, the
+// node arena and id table (truncated, so no id of the previous stream
+// resolves), and the decode scratch. Attribute map, globals, offsets,
+// limit, line count and projection all start fresh; the intern table
+// survives only while reg is the same registry, whose strings it caches.
+// A scan worker resets one Reader per input file instead of building one
+// (query.Engine owns it), so a worker grows one arena for all its files.
+func (r *Reader) Reset(rd io.Reader, reg *attr.Registry, tree *contexttree.Tree) {
+	if reg != r.reg {
+		clear(r.interned)
+	}
+	clear(r.attrMap)
+	r.src, r.reg, r.tree = rd, reg, tree
+	r.seeker, _ = rd.(io.Seeker)
+	r.globals = nil // handed out by Globals: never reuse its backing array
+	r.line, r.consumed, r.offset, r.limit, r.metaSeen = 0, 0, 0, 0, 0
+	r.nodes, r.nodeIdx, r.nodeFar = r.nodes[:0], r.nodeIdx[:0], nil
+	r.keep, r.drop = nil, nil
+	r.newScanner()
 }
 
 // newScanner (re)builds the line scanner over src, reusing the kept
@@ -237,50 +257,15 @@ func (r *Reader) SkipTo(off int64) error {
 // boundary (it is, when it comes from the index).
 func (r *Reader) ScanMetaUntil(limit int64) error {
 	for r.offset < limit {
-		if !r.sc.Scan() {
+		line, ok := r.nextLine()
+		if !ok {
 			if err := r.sc.Err(); err != nil {
 				return err
 			}
 			return io.ErrUnexpectedEOF
 		}
-		r.line++
-		r.offset += int64(r.consumed)
-		telBytesRead.Add(uint64(r.consumed))
-		line := r.sc.Bytes()
-		for len(line) > 0 && line[len(line)-1] == '\r' {
-			line = line[:len(line)-1]
-		}
-		if len(line) == 0 {
-			continue
-		}
-		if err := r.scanFields(line); err != nil {
-			return r.errf("%v", err)
-		}
-		kind, _, _ := r.findField(line, "__rec")
-		switch string(kind) {
-		case "attr":
-			if err := r.readAttrLine(line); err != nil {
-				return err
-			}
-			r.metaSeen++
-		case "node":
-			if err := r.readNodeLine(line); err != nil {
-				return err
-			}
-			r.metaSeen++
-		case "globals":
-			e, err := r.readEntryLine(line)
-			if err != nil {
-				return err
-			}
-			r.globals = append(r.globals, e)
-			r.metaSeen++
-		case "ctx":
-			// pruned record: skip without decoding
-		case "":
-			return r.errf("record without __rec field")
-		default:
-			// unknown record kinds are skipped for forward compatibility
+		if _, err := r.decodeLine(line, nil); err != nil {
+			return err
 		}
 	}
 	if r.offset != limit {
@@ -356,8 +341,24 @@ func (r *Reader) nodeAt(id int64) (int32, bool) {
 	return at, ok
 }
 
-// defineNode appends n to the arena and points the stream node id at it.
-func (r *Reader) defineNode(id int64, n nodeRec) {
+// defineNode defines stream node id as the entry (a, v) under the arena
+// node parent (-1: a root): it derives the node's path bookkeeping from
+// the parent's, applies the projection to stream attribute aid, mirrors
+// the node into the tree sink, appends it to the arena and points id at
+// it. Both line scanners end a node line here.
+func (r *Reader) defineNode(id, aid int64, parent int32, a attr.Attribute, v attr.Variant) {
+	n := nodeRec{entry: attr.Entry{Attr: a, Value: v}, parent: parent, sink: contexttree.InvalidNode}
+	if parent >= 0 {
+		p := &r.nodes[parent]
+		n.depth, n.kept, n.sink = p.depth, p.kept, p.sink
+	}
+	n.depth++
+	if n.keep = !r.drop[aid]; n.keep {
+		n.kept++
+	}
+	if r.tree != nil {
+		n.sink = r.tree.GetChild(n.sink, a, v)
+	}
 	at := int32(len(r.nodes))
 	r.nodes = append(r.nodes, n)
 	if id >= 0 && id < int64(2*len(r.nodes)+nodeDenseSlack) {
@@ -371,6 +372,218 @@ func (r *Reader) defineNode(id int64, n nodeRec) {
 		r.nodeFar = map[int64]int32{}
 	}
 	r.nodeFar[id] = at
+}
+
+// expandPath appends the kept part of arena node at's root path to *dst,
+// root first, and returns the path's full length (projected-out entries
+// included).
+func (r *Reader) expandPath(at int32, dst *snapshot.FlatRecord) int {
+	leaf := &r.nodes[at]
+	i := len(*dst) + int(leaf.kept)
+	*dst = slices.Grow(*dst, int(leaf.kept))[:i]
+	for ; at >= 0; at = r.nodes[at].parent {
+		if n := &r.nodes[at]; n.keep {
+			i--
+			(*dst)[i] = n.entry
+		}
+	}
+	return int(leaf.depth)
+}
+
+// immediate appends the immediate entry (a, raw parsed as a's type) to
+// *dst. When the projection drops stream attribute aid the entry is only
+// validated, so error behavior matches the unprojected scan byte for
+// byte (a string cannot fail to parse, so its intern copy is skipped).
+// The error is attr.ParseAs's.
+func (r *Reader) immediate(dst *snapshot.FlatRecord, aid int64, a attr.Attribute, raw []byte) error {
+	if r.drop != nil && r.drop[aid] {
+		if a.Type() == attr.String {
+			return nil
+		}
+		_, err := attr.ParseAs(bstr(raw), a.Type())
+		return err
+	}
+	v, err := r.parseValue(raw, a.Type())
+	if err != nil {
+		return err
+	}
+	*dst = append(*dst, attr.Entry{Attr: a, Value: v})
+	return nil
+}
+
+// closeRecord ends a ctx line written with full entries and decoded into
+// *dst. It reports false for a record written empty, which is an error:
+// the check must see the record as written, not as projected (a record
+// whose every entry is projected away is still a record — AGGREGATE count
+// counts it — so it is returned empty rather than rejected).
+func (r *Reader) closeRecord(full int, dst *snapshot.FlatRecord) bool {
+	if full == 0 {
+		return false
+	}
+	if n := full - len(*dst); n > 0 {
+		telProjDropped.Add(uint64(n))
+	}
+	return true
+}
+
+// The canonical layout. Writer.ensureNode and Writer.WriteRecord
+// (calformat.go) always emit
+//
+//	__rec=node,id=D,attr=D,data=V,parent=[D]
+//	__rec=ctx[,ref=D(:D)*][,attr=D(:D)*,data=V(:V)*]
+//
+// with D a plain decimal id and V an escaped value, and canonNodeLine and
+// canonCtxLine decode exactly those bytes in one left-to-right pass: no
+// span table, no key search, no list split. They accept a line only if it
+// is in that layout byte for byte — D is 1 to 18 digits, V holds no
+// escape (a value the Writer had to escape goes the generic way) — and
+// decodes without error. Anything else they decline, leaving the Reader
+// as it was, and the generic scanner decodes the line; it alone builds
+// errors, so messages and the duplicate-key rule cannot differ. A change
+// to the Writer's field order must change these two functions with it
+// (TestWriterLinesDecodePositionally fails otherwise).
+
+// valStop marks the bytes that end a canonical value or rule it out: the
+// field and list separators, and the escape and '=' that only an escaped
+// value carries.
+var valStop = [256]bool{',': true, ':': true, '\\': true, '=': true}
+
+// canonID parses the 1 to 18 digit id at line[p:], returning it and the
+// index after it; ok is false for anything else there (a sign, no digit,
+// an id long enough to overflow).
+func canonID(line []byte, p int) (id int64, end int, ok bool) {
+	for end = p; end < len(line); end++ {
+		c := line[end] - '0'
+		if c > 9 {
+			break
+		}
+		id = id*10 + int64(c)
+	}
+	return id, end, end > p && end-p <= 18
+}
+
+// hasAt reports whether lit occurs in line at index p.
+func hasAt(line []byte, p int, lit string) bool {
+	return len(line)-p >= len(lit) && string(line[p:p+len(lit)]) == lit
+}
+
+// canonNodeLine decodes a node line in the canonical layout; false means
+// the line is not one (or would be an error) and nothing was defined.
+func (r *Reader) canonNodeLine(line []byte) bool {
+	if !hasAt(line, 0, "__rec=node,id=") {
+		return false
+	}
+	id, p, ok := canonID(line, len("__rec=node,id="))
+	if !ok || !hasAt(line, p, ",attr=") {
+		return false
+	}
+	aid, p, ok := canonID(line, p+len(",attr="))
+	if !ok || !hasAt(line, p, ",data=") {
+		return false
+	}
+	p += len(",data=")
+	end := p
+	for end < len(line) && !valStop[line[end]] {
+		end++
+	}
+	if !hasAt(line, end, ",parent=") {
+		return false
+	}
+	parent := int32(-1)
+	if q := end + len(",parent="); q < len(line) {
+		pid, q, ok := canonID(line, q)
+		if !ok || q != len(line) {
+			return false
+		}
+		if parent, ok = r.nodeAt(pid); !ok {
+			return false
+		}
+	}
+	a, ok := r.attrMap[aid]
+	if !ok {
+		return false
+	}
+	v, err := r.parseValue(line[p:end], a.Type())
+	if err != nil {
+		return false
+	}
+	r.defineNode(id, aid, parent, a, v)
+	return true
+}
+
+// canonCtxLine decodes a ctx line in the canonical layout into *dst; false
+// means the line is not one (or would be an error) and *dst is empty.
+func (r *Reader) canonCtxLine(line []byte, dst *snapshot.FlatRecord) bool {
+	if !hasAt(line, 0, "__rec=ctx") || !r.canonCtxFields(line, dst) {
+		*dst = (*dst)[:0]
+		return false
+	}
+	return true
+}
+
+// canonCtxFields is canonCtxLine past the record kind; when it declines
+// the line it may leave entries in *dst.
+func (r *Reader) canonCtxFields(line []byte, dst *snapshot.FlatRecord) bool {
+	p, full := len("__rec=ctx"), 0
+	if hasAt(line, p, ",ref=") {
+		p += len(",ref=")
+		for {
+			nid, end, ok := canonID(line, p)
+			if !ok {
+				return false
+			}
+			at, ok := r.nodeAt(nid)
+			if !ok {
+				return false
+			}
+			full += r.expandPath(at, dst)
+			if p = end; p == len(line) || line[p] != ':' {
+				break
+			}
+			p++
+		}
+	}
+	if p == len(line) {
+		return r.closeRecord(full, dst)
+	}
+	// The id list ends at ",data=" and the value list at the end of the
+	// line; one cursor walks each, an id and its value at a time.
+	if !hasAt(line, p, ",attr=") {
+		return false
+	}
+	ip := p + len(",attr=")
+	idsEnd := ip + bytes.IndexByte(line[ip:], ',')
+	if idsEnd < ip || !hasAt(line, idsEnd, ",data=") {
+		return false
+	}
+	vp := idsEnd + len(",data=")
+	for {
+		aid, iend, ok := canonID(line, ip)
+		if !ok {
+			return false
+		}
+		a, ok := r.attrMap[aid]
+		if !ok {
+			return false
+		}
+		vend := vp
+		for vend < len(line) && !valStop[line[vend]] {
+			vend++
+		}
+		if r.immediate(dst, aid, a, line[vp:vend]) != nil {
+			return false
+		}
+		full++
+		moreIDs, moreVals := line[iend] == ':', vend < len(line) && line[vend] == ':'
+		switch {
+		case moreIDs && moreVals:
+			ip, vp = iend+1, vend+1
+		case !moreIDs && !moreVals && iend == idsEnd && vend == len(line):
+			return r.closeRecord(full, dst)
+		default:
+			return false // lists of different lengths, or a stray byte
+		}
+	}
 }
 
 // scanFields splits line into key=value spans in r.fields. Escape
@@ -461,6 +674,79 @@ func splitListSpans(dst []listElem, raw []byte) []listElem {
 	return append(dst, e)
 }
 
+// nextLine scans the next line and returns it with trailing carriage
+// returns trimmed (it may be empty); ok is false at the end of the input
+// or on a read error (r.sc.Err tells which).
+func (r *Reader) nextLine() (line []byte, ok bool) {
+	if !r.sc.Scan() {
+		return nil, false
+	}
+	r.line++
+	r.offset += int64(r.consumed)
+	telBytesRead.Add(uint64(r.consumed))
+	line = r.sc.Bytes()
+	for len(line) > 0 && line[len(line)-1] == '\r' {
+		line = line[:len(line)-1]
+	}
+	return line, true
+}
+
+// decodeLine decodes one line: metadata goes into the Reader's tables, a
+// ctx record into *dst, and isRec reports which it was. A nil dst skips
+// records undecoded (ScanMetaUntil). A line in the Writer's canonical
+// layout is decoded positionally (canonNodeLine, canonCtxLine); any other
+// line, and any line that is going to be an error, takes the generic
+// field scanner — chosen from the line's bytes alone.
+func (r *Reader) decodeLine(line []byte, dst *snapshot.FlatRecord) (isRec bool, err error) {
+	if len(line) == 0 {
+		return false, nil
+	}
+	if r.canonNodeLine(line) {
+		r.metaSeen++
+		return false, nil
+	}
+	if dst != nil && r.canonCtxLine(line, dst) {
+		return true, nil
+	}
+	telLinesGeneric.Inc()
+	if err := r.scanFields(line); err != nil {
+		return false, r.errf("%v", err)
+	}
+	// The record kind is matched on the raw value, like the legacy
+	// fm["__rec"] lookup: an escaped kind never matches and falls
+	// through to the unknown-kind skip.
+	kind, _, _ := r.findField(line, "__rec")
+	switch string(kind) {
+	case "attr":
+		if err := r.readAttrLine(line); err != nil {
+			return false, err
+		}
+		r.metaSeen++
+	case "node":
+		if err := r.readNodeLine(line); err != nil {
+			return false, err
+		}
+		r.metaSeen++
+	case "globals":
+		e, err := r.readEntryLine(line)
+		if err != nil {
+			return false, err
+		}
+		r.globals = append(r.globals, e)
+		r.metaSeen++
+	case "ctx":
+		if dst == nil {
+			return true, nil
+		}
+		return true, r.readCtxLine(line, dst)
+	case "":
+		return false, r.errf("record without __rec field")
+	default:
+		// unknown record kinds are skipped for forward compatibility
+	}
+	return false, nil
+}
+
 // NextInto decodes the next snapshot record in the stream into *dst,
 // reusing dst's backing storage. The record is valid until the next
 // NextInto/Next call on this Reader; callers that retain it longer must
@@ -472,54 +758,17 @@ func (r *Reader) NextInto(dst *snapshot.FlatRecord) error {
 		if r.limit > 0 && r.offset >= r.limit {
 			return io.EOF
 		}
-		if !r.sc.Scan() {
+		line, ok := r.nextLine()
+		if !ok {
 			break
 		}
-		r.line++
-		r.offset += int64(r.consumed)
-		telBytesRead.Add(uint64(r.consumed))
-		line := r.sc.Bytes()
-		for len(line) > 0 && line[len(line)-1] == '\r' {
-			line = line[:len(line)-1]
+		isRec, err := r.decodeLine(line, dst)
+		if err != nil {
+			return err
 		}
-		if len(line) == 0 {
-			continue
-		}
-		if err := r.scanFields(line); err != nil {
-			return r.errf("%v", err)
-		}
-		// The record kind is matched on the raw value, like the legacy
-		// fm["__rec"] lookup: an escaped kind never matches and falls
-		// through to the unknown-kind skip.
-		kind, _, _ := r.findField(line, "__rec")
-		switch string(kind) {
-		case "attr":
-			if err := r.readAttrLine(line); err != nil {
-				return err
-			}
-			r.metaSeen++
-		case "node":
-			if err := r.readNodeLine(line); err != nil {
-				return err
-			}
-			r.metaSeen++
-		case "globals":
-			e, err := r.readEntryLine(line)
-			if err != nil {
-				return err
-			}
-			r.globals = append(r.globals, e)
-			r.metaSeen++
-		case "ctx":
-			if err := r.readCtxLine(line, dst); err != nil {
-				return err
-			}
+		if isRec {
 			telRecsRead.Inc()
 			return nil
-		case "":
-			return r.errf("record without __rec field")
-		default:
-			// unknown record kinds are skipped for forward compatibility
 		}
 	}
 	if err := r.sc.Err(); err != nil {
@@ -605,33 +854,22 @@ func (r *Reader) readNodeLine(line []byte) error {
 	if !ok {
 		return r.errf("node record: undefined attribute %d", aid)
 	}
-	n := nodeRec{parent: -1, sink: contexttree.InvalidNode}
+	parent := int32(-1)
 	if psRaw, _, _ := r.findField(line, "parent"); len(psRaw) > 0 {
 		pid, err := strconv.ParseInt(bstr(psRaw), 10, 64)
 		if err != nil {
 			return r.errf("node record: bad parent %q", psRaw)
 		}
-		n.parent, ok = r.nodeAt(pid)
-		if !ok {
+		if parent, ok = r.nodeAt(pid); !ok {
 			return r.errf("node record: undefined parent node %d", pid)
 		}
-		p := &r.nodes[n.parent]
-		n.depth, n.kept, n.sink = p.depth, p.kept, p.sink
 	}
 	dataRaw, dataEsc, _ := r.findField(line, "data")
 	v, err := r.parseValue(r.unescaped(dataRaw, dataEsc), a.Type())
 	if err != nil {
 		return r.errf("node record: %v", err)
 	}
-	n.entry = attr.Entry{Attr: a, Value: v}
-	n.depth++
-	if n.keep = !r.drop[aid]; n.keep {
-		n.kept++
-	}
-	if r.tree != nil {
-		n.sink = r.tree.GetChild(n.sink, a, v)
-	}
-	r.defineNode(id, n)
+	r.defineNode(id, aid, parent, a, v)
 	return nil
 }
 
@@ -654,11 +892,7 @@ func (r *Reader) readEntryLine(line []byte) (attr.Entry, error) {
 }
 
 func (r *Reader) readCtxLine(line []byte, dst *snapshot.FlatRecord) error {
-	// full counts entries before projection: the empty-record check must
-	// see the record as written, not as projected (a record whose every
-	// entry is projected away is still a record — AGGREGATE count counts
-	// it — so it is returned empty rather than rejected).
-	full := 0
+	full := 0 // entries as written, before projection
 	refRaw, _, _ := r.findField(line, "ref")
 	r.refElems = splitListSpans(r.refElems[:0], refRaw)
 	for _, e := range r.refElems {
@@ -671,17 +905,7 @@ func (r *Reader) readCtxLine(line []byte, dst *snapshot.FlatRecord) error {
 		if !ok {
 			return r.errf("ctx record: undefined node %d", nid)
 		}
-		// write the kept part of the root path in place, root first
-		leaf := &r.nodes[at]
-		full += int(leaf.depth)
-		i := len(*dst) + int(leaf.kept)
-		*dst = slices.Grow(*dst, int(leaf.kept))[:i]
-		for ; at >= 0; at = r.nodes[at].parent {
-			if n := &r.nodes[at]; n.keep {
-				i--
-				(*dst)[i] = n.entry
-			}
-		}
+		full += r.expandPath(at, dst)
 	}
 	attrRaw, _, hasAttr := r.findField(line, "attr")
 	dataRaw, _, hasData := r.findField(line, "data")
@@ -716,29 +940,13 @@ func (r *Reader) readCtxLine(line []byte, dst *snapshot.FlatRecord) error {
 			de := r.dataElems[i]
 			db = r.unescaped(dataRaw[de.lo:de.hi], de.esc)
 		}
-		full++
-		if r.drop != nil && r.drop[aid] {
-			// projected out: still validate non-string values so error
-			// behavior matches the unprojected scan byte for byte
-			// (string parsing cannot fail, so skip its intern copy)
-			if a.Type() != attr.String {
-				if _, err := attr.ParseAs(bstr(db), a.Type()); err != nil {
-					return r.errf("ctx record: %v", err)
-				}
-			}
-			continue
-		}
-		v, err := r.parseValue(db, a.Type())
-		if err != nil {
+		if err := r.immediate(dst, aid, a, db); err != nil {
 			return r.errf("ctx record: %v", err)
 		}
-		*dst = append(*dst, attr.Entry{Attr: a, Value: v})
+		full++
 	}
-	if full == 0 {
+	if !r.closeRecord(full, dst) {
 		return r.errf("ctx record: empty record")
-	}
-	if n := full - len(*dst); n > 0 {
-		telProjDropped.Add(uint64(n))
 	}
 	return nil
 }

@@ -185,6 +185,11 @@ func FuzzDecodeDiff(f *testing.F) {
 	for _, c := range nodeTableCases {
 		f.Add(c.in)
 	}
+	// the Writer's canonical lines and their near misses, so mutation
+	// starts on both sides of the positional/generic choice
+	for _, c := range canonCases {
+		f.Add(canonPrologue + c.lines)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		treeN, treeO := contexttree.New(), contexttree.New()
 		rn := NewReader(strings.NewReader(input), attr.NewRegistry(), treeN)

@@ -279,7 +279,7 @@ func TestParseExplain(t *testing.T) {
 		{"EXPLAIN SELECT *", ExplainPlan},
 		{"explain analyze SELECT *", ExplainAnalyze},
 		{"EXPLAIN ANALYZE AGGREGATE count GROUP BY k", ExplainAnalyze},
-		{"EXPLAIN", ExplainPlan},         // a bare EXPLAIN wraps the empty (pass-through) query
+		{"EXPLAIN", ExplainPlan}, // a bare EXPLAIN wraps the empty (pass-through) query
 		{"EXPLAIN ANALYZE", ExplainAnalyze},
 	}
 	for _, tc := range cases {

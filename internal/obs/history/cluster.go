@@ -70,14 +70,14 @@ type ClusterBin struct {
 
 // ClusterMetric is one metric's cluster-wide aggregate.
 type ClusterMetric struct {
-	Name  string      `json:"name"`
-	Kind  string      `json:"kind"`
-	Delta uint64      `json:"delta,omitempty"` // counter: sum across ranks
-	Min   int64       `json:"min,omitempty"`   // gauge: min across ranks
-	Max   int64       `json:"max,omitempty"`   // gauge: max across ranks
-	Count uint64      `json:"count,omitempty"` // histogram: total observations
-	Sum   int64       `json:"sum,omitempty"`   // histogram: total value
-	Bins  []ClusterBin `json:"bins,omitempty"` // histogram: bin-wise merge
+	Name  string       `json:"name"`
+	Kind  string       `json:"kind"`
+	Delta uint64       `json:"delta,omitempty"` // counter: sum across ranks
+	Min   int64        `json:"min,omitempty"`   // gauge: min across ranks
+	Max   int64        `json:"max,omitempty"`   // gauge: max across ranks
+	Count uint64       `json:"count,omitempty"` // histogram: total observations
+	Sum   int64        `json:"sum,omitempty"`   // histogram: total value
+	Bins  []ClusterBin `json:"bins,omitempty"`  // histogram: bin-wise merge
 	Ranks []RankValue  `json:"ranks,omitempty"`
 }
 

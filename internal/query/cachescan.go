@@ -133,14 +133,14 @@ func (p *ScanPlan) scanCacheHit(eng *Engine, u Unit, reg *attr.Registry, tree *c
 // below reads the unit's cache routing.
 func (p *ScanPlan) scanCacheMiss(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	if eng.db == nil {
-		n, bytes, _, err := p.scanUnitInto(eng, u, reg, tree)
+		n, bytes, _, err := p.scanUnitInto(eng, eng, u, reg, tree)
 		return n, bytes, err
 	}
 	priv, err := New(p.q, reg)
 	if err != nil {
 		return 0, 0, err
 	}
-	n, bytes, endOff, err := p.scanUnitInto(priv, u, reg, tree)
+	n, bytes, endOff, err := p.scanUnitInto(eng, priv, u, reg, tree)
 	if err != nil {
 		return n, bytes, err
 	}
@@ -162,7 +162,7 @@ func (p *ScanPlan) scanCacheIncr(eng *Engine, u Unit, reg *attr.Registry, tree *
 		return 0, 0, err
 	}
 	defer f.Close()
-	rd := calformat.NewReader(f, reg, tree)
+	rd := eng.reader(f, reg, tree)
 	if p.proj != nil {
 		rd.SetProjection(p.proj)
 	}

@@ -9,11 +9,14 @@ package query
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
 	"caligo/internal/attr"
+	"caligo/internal/calformat"
 	"caligo/internal/calql"
+	"caligo/internal/contexttree"
 	"caligo/internal/core"
 	"caligo/internal/snapshot"
 	"caligo/internal/trace"
@@ -28,6 +31,11 @@ type Engine struct {
 	rows  []snapshot.FlatRecord // collected rows for non-aggregating queries
 	lets  []resolvedLet
 	where Where
+
+	// rd is the reader every unit this engine scans decodes through, reset
+	// per unit (see reader): a scan worker has one engine, so it grows one
+	// node arena and scan buffer for all of its files.
+	rd *calformat.Reader
 }
 
 // resolvedLet caches the derived attribute handle for a LET definition.
@@ -177,6 +185,16 @@ func MustNew(q *calql.Query, reg *attr.Registry) *Engine {
 		panic(err)
 	}
 	return e
+}
+
+// reader returns the engine's reader, reset onto src.
+func (e *Engine) reader(src io.Reader, reg *attr.Registry, tree *contexttree.Tree) *calformat.Reader {
+	if e.rd == nil {
+		e.rd = calformat.NewReader(src, reg, tree)
+	} else {
+		e.rd.Reset(src, reg, tree)
+	}
+	return e.rd
 }
 
 // DB exposes the engine's aggregation database (nil for non-aggregating

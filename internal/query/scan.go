@@ -457,7 +457,7 @@ func (p *ScanPlan) ScanUnit(eng *Engine, u Unit, reg *attr.Registry, tree *conte
 	case cacheMissMode:
 		return p.scanCacheMiss(eng, u, reg, tree)
 	}
-	n, bytes, _, err := p.scanUnitInto(eng, u, reg, tree)
+	n, bytes, _, err := p.scanUnitInto(eng, eng, u, reg, tree)
 	return n, bytes, err
 }
 
@@ -479,9 +479,12 @@ func drain(rd *calformat.Reader, eng *Engine, rec *snapshot.FlatRecord, name str
 	}
 }
 
-// scanUnitInto is the cache-oblivious scan body. The extra return is the
-// reader's final byte offset — the watermark a stored cache entry covers.
-func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, int64, error) {
+// scanUnitInto is the cache-oblivious scan body: the unit's records go
+// into eng, decoded through the reader of own — the worker's engine, which
+// is eng itself unless the aggregate cache interposed a per-file one. The
+// extra return is the reader's final byte offset — the watermark a stored
+// cache entry covers.
+func (p *ScanPlan) scanUnitInto(own, eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, int64, error) {
 	src := u.stream
 	if src == nil {
 		f, err := os.Open(u.File)
@@ -491,7 +494,7 @@ func (p *ScanPlan) scanUnitInto(eng *Engine, u Unit, reg *attr.Registry, tree *c
 		src = f
 	}
 	defer src.Close()
-	rd := calformat.NewReader(src, reg, tree)
+	rd := own.reader(src, reg, tree)
 	if p.proj != nil && !p.projCoversAll(u.Idx) {
 		rd.SetProjection(p.proj)
 	}
