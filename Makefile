@@ -40,10 +40,12 @@ bench-module:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The micro-benchmarks BENCH_query.json tracks: the query side, and the
-# paper's Table I (one on-line snapshot under schemes A, B and C, root
-# package) as the runtime side's trajectory next to it.
-QUERY_BENCH = QueryFilesSharded|WhereCompiled|WhereEvalCondition|SortRows|BenchmarkMerge|IndexedScan|CachedQuery|TableIScheme
+# The micro-benchmarks BENCH_query.json tracks: the query side, and from
+# the root package the paper's own measurements next to it — Table I (one
+# on-line snapshot under schemes A, B and C) for the runtime side, Figure 4
+# (the parallel query at 1 to 64 ranks) and the fan-in ablation for the
+# cross-process reduction.
+QUERY_BENCH = QueryFilesSharded|WhereCompiled|WhereEvalCondition|SortRows|BenchmarkMerge|IndexedScan|CachedQuery|TableIScheme|Figure4Ranks|AblationReduceFanin
 QUERY_PKGS = ./calql/ ./internal/query/ ./internal/core/ .
 
 # Measure the observability overhead paths — the span tracer and the

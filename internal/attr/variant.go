@@ -325,33 +325,84 @@ func (v Variant) AppendEncoded(dst []byte) []byte {
 	return dst
 }
 
+// EncodedLen returns the number of bytes AppendEncoded appends for v, so a
+// caller can size a buffer once for everything it is about to encode.
+func (v Variant) EncodedLen() int {
+	switch v.kind {
+	case String:
+		return 1 + uvarintLen(uint64(len(v.str))) + len(v.str)
+	case Inv:
+		return 1
+	default:
+		return 1 + uvarintLen(v.bits)
+	}
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// splitEncoded parses the encoding at the head of src — the one place that
+// decides what a valid encoding is. It returns the kind, the varint payload
+// (the value bits, or a string's length), the offset the string bytes start
+// at, and the number of bytes the encoding occupies.
+func splitEncoded(src []byte) (kind Type, payload uint64, body, n int, err error) {
+	if len(src) == 0 {
+		return Inv, 0, 0, 0, fmt.Errorf("attr: decode variant: empty input")
+	}
+	switch kind = Type(src[0]); kind {
+	case Inv:
+		return kind, 0, 1, 1, nil
+	case String:
+		length, sz := binary.Uvarint(src[1:])
+		if sz <= 0 {
+			return kind, 0, 0, 0, fmt.Errorf("attr: decode variant: bad string length")
+		}
+		if uint64(len(src)-1-sz) < length {
+			return kind, 0, 0, 0, fmt.Errorf("attr: decode variant: truncated string")
+		}
+		return kind, length, 1 + sz, 1 + sz + int(length), nil
+	case Int, Uint, Float, Bool, TypeID:
+		bits, sz := binary.Uvarint(src[1:])
+		if sz <= 0 {
+			return kind, 0, 0, 0, fmt.Errorf("attr: decode variant: bad payload")
+		}
+		return kind, bits, 1 + sz, 1 + sz, nil
+	}
+	return kind, 0, 0, 0, fmt.Errorf("attr: decode variant: unknown kind %d", kind)
+}
+
 // DecodeVariant decodes a variant previously produced by AppendEncoded,
 // returning the variant and the number of bytes consumed.
 func DecodeVariant(src []byte) (Variant, int, error) {
-	if len(src) == 0 {
-		return Variant{}, 0, fmt.Errorf("attr: decode variant: empty input")
+	kind, payload, body, n, err := splitEncoded(src)
+	switch {
+	case err != nil:
+		return Variant{}, 0, err
+	case kind == String:
+		return StringV(string(src[body:n])), n, nil
 	}
-	kind := Type(src[0])
-	pos := 1
-	switch kind {
-	case Inv:
-		return Variant{}, pos, nil
-	case String:
-		n, sz := binary.Uvarint(src[pos:])
-		if sz <= 0 {
-			return Variant{}, 0, fmt.Errorf("attr: decode variant: bad string length")
-		}
-		pos += sz
-		if uint64(len(src)-pos) < n {
-			return Variant{}, 0, fmt.Errorf("attr: decode variant: truncated string")
-		}
-		return StringV(string(src[pos : pos+int(n)])), pos + int(n), nil
-	case Int, Uint, Float, Bool, TypeID:
-		bits, sz := binary.Uvarint(src[pos:])
-		if sz <= 0 {
-			return Variant{}, 0, fmt.Errorf("attr: decode variant: bad payload")
-		}
-		return Variant{kind: kind, bits: bits}, pos + sz, nil
+	return Variant{kind: kind, bits: payload}, n, nil
+}
+
+// AppendCanonical appends to dst the AppendEncoded form of the variant
+// encoded at the head of src and returns the number of source bytes it
+// occupies: AppendCanonical(dst, src) is DecodeVariant(src) followed by
+// AppendEncoded(dst) — a non-minimal varint in src comes out minimal —
+// without building the Variant or, for a string, copying it twice.
+func AppendCanonical(dst, src []byte) ([]byte, int, error) {
+	kind, payload, body, n, err := splitEncoded(src)
+	if err != nil {
+		return dst, 0, err
 	}
-	return Variant{}, 0, fmt.Errorf("attr: decode variant: unknown kind %d", kind)
+	dst = append(dst, byte(kind))
+	if kind != Inv {
+		dst = binary.AppendUvarint(dst, payload)
+	}
+	return append(dst, src[body:n]...), n, nil
 }

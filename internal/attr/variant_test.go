@@ -2,6 +2,7 @@ package attr
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -247,6 +248,53 @@ func TestVariantDecodeErrors(t *testing.T) {
 			t.Errorf("DecodeVariant(%v) should fail", c)
 		}
 	}
+}
+
+// TestAppendCanonicalMatchesDecode: on valid encodings, their prefixes,
+// non-minimal re-spellings and arbitrary bytes, AppendCanonical accepts what
+// DecodeVariant accepts, consumes the same bytes, leaves dst alone on
+// rejection, and appends what encoding the decoded variant would — and
+// EncodedLen is the length of that.
+func TestAppendCanonicalMatchesDecode(t *testing.T) {
+	check := func(src []byte) {
+		t.Helper()
+		prefix := []byte("dst")
+		v, n, err := DecodeVariant(src)
+		got, gn, gerr := AppendCanonical(prefix, src)
+		if (err == nil) != (gerr == nil) || n != gn {
+			t.Fatalf("%v: DecodeVariant = (%d, %v), AppendCanonical = (%d, %v)", src, n, err, gn, gerr)
+		}
+		want := prefix
+		if err == nil {
+			want = v.AppendEncoded(prefix)
+			if v.EncodedLen() != len(want)-len(prefix) {
+				t.Errorf("%v: EncodedLen = %d, encoding has %d bytes", src, v.EncodedLen(), len(want)-len(prefix))
+			}
+		}
+		if string(got) != string(want) {
+			t.Errorf("%v: AppendCanonical appended %v, want %v", src, got[len(prefix):], want[len(prefix):])
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		enc := quickVariant(uint8(rng.Intn(5)), rng.Uint64()>>uint(rng.Intn(64)), "some string"[:rng.Intn(12)]).AppendEncoded(nil)
+		check(enc)
+		check(enc[:rng.Intn(len(enc)+1)])
+		check(append(enc, 7, 7)) // trailing bytes are not the variant's
+		// a redundant continuation byte on the first varint: same value
+		if len(enc) > 1 && len(enc) < 9 {
+			padded := append([]byte{enc[0], enc[1] | 0x80, 0}, enc[2:]...)
+			if enc[1] < 0x80 {
+				check(padded)
+			}
+		}
+		junk := make([]byte, rng.Intn(12))
+		rng.Read(junk)
+		check(junk)
+	}
+	check([]byte{byte(Inv)})
+	check([]byte{byte(TypeID), byte(Float)})
+	check([]byte{byte(Int), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // varint overflow
 }
 
 // quickVariant builds a variant from arbitrary quick-generated values.

@@ -3,7 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"caligo/internal/attr"
 	"caligo/internal/snapshot"
@@ -52,6 +53,16 @@ type DB struct {
 	reHas   []bool
 	keyBuf  []byte
 
+	// bucketSlab is the chunk new buckets are carved from (newBucket):
+	// buckets live until Clear, so they need no allocation of their own
+	// each.
+	bucketSlab []bucket
+
+	// scratch MergeEncodedState decodes one incoming bucket's accumulators
+	// and histogram bins into before merging them.
+	wireAccs []accum
+	wireBins []uint64
+
 	processed uint64
 
 	// wireTypes records target types received in encoded state, used when
@@ -74,10 +85,13 @@ type role struct {
 // bucket is one aggregation record: the collision-free key encoding (which
 // doubles as the bucket-map key) and the accumulator state per operator.
 // The key groups it was built from are reconstructed by decoding key — the
-// encoding is injective, so nothing is lost by not storing them twice.
+// encoding is injective, so nothing is lost by not storing them twice; only
+// their number is kept, because the wire form of a key is that number
+// followed by the key's own bytes (wire.go).
 type bucket struct {
-	key  string
-	accs []accum
+	key    string
+	accs   []accum
+	groups int
 }
 
 type keyGroup struct {
@@ -224,14 +238,33 @@ func (db *DB) Update(rec snapshot.FlatRecord) {
 	}
 }
 
-// insertBucket registers a new bucket under its encoded key and logs the
-// insertion order.
-func (db *DB) insertBucket(b *bucket) {
+// Bucket chunks double from slabMin up to slabMax buckets, so a
+// database of a few groups (one per thread, per rank, per cached file) does
+// not pay for a large chunk. The sizes are those of 512-byte to 4 KiB
+// allocations less the allocator's 8-byte header.
+const slabMin, slabMax = 10, 85
+
+// newBucket creates the bucket for a canonical key encoding of the given
+// number of key groups, registers it under the key and logs the insertion
+// order. The bucket comes out of the database's current chunk. Its
+// accumulators are an allocation of their own: for the usual one to four
+// operators they fill a size class exactly, where a chunk of them would
+// pay the header and round up to the next class (12 % at 16 KiB) on top of
+// what its tail leaves unused.
+func (db *DB) newBucket(key string, groups int) *bucket {
+	if len(db.bucketSlab) == cap(db.bucketSlab) {
+		db.bucketSlab = make([]bucket, 0, min(max(2*cap(db.bucketSlab), slabMin), slabMax))
+	}
+	db.bucketSlab = db.bucketSlab[:len(db.bucketSlab)+1]
+	b := &db.bucketSlab[len(db.bucketSlab)-1]
+	*b = bucket{key: key, accs: make([]accum, len(db.scheme.Ops)), groups: groups}
+
 	telBuckets.Inc()
-	telKeyBytes.Add(uint64(len(b.key)))
-	db.buckets[b.key] = b
+	telKeyBytes.Add(uint64(len(key)))
+	db.buckets[key] = b
 	db.order = append(db.order, b)
 	db.flushOrder = nil
+	return b
 }
 
 // bucketFor computes the collision-free key encoding from the scratch key
@@ -244,10 +277,12 @@ func (db *DB) insertBucket(b *bucket) {
 // "compact, collision-free hash value").
 func (db *DB) bucketFor() *bucket {
 	db.keyBuf = db.keyBuf[:0]
+	groups := 0
 	for pos, vals := range db.keyVals {
 		if len(vals) == 0 {
 			continue
 		}
+		groups++
 		db.keyBuf = binary.AppendUvarint(db.keyBuf, uint64(pos))
 		db.keyBuf = binary.AppendUvarint(db.keyBuf, uint64(len(vals)))
 		for _, v := range vals {
@@ -257,9 +292,7 @@ func (db *DB) bucketFor() *bucket {
 	if b, ok := db.buckets[string(db.keyBuf)]; ok {
 		return b
 	}
-	b := &bucket{key: string(db.keyBuf), accs: make([]accum, len(db.scheme.Ops))}
-	db.insertBucket(b)
-	return b
+	return db.newBucket(string(db.keyBuf), groups)
 }
 
 // decodeKeyGroups reconstructs the (key position, value path) groups from a
@@ -293,35 +326,6 @@ func (db *DB) decodeKeyGroups(key string) ([]keyGroup, error) {
 		groups = append(groups, keyGroup{pos: int(kpos), values: vals})
 	}
 	return groups, nil
-}
-
-// mergeBucket folds an external bucket (with portable key groups) into the
-// database, reconstructing the canonical key encoding locally.
-func (db *DB) mergeBucket(groups []keyGroup, accs []accum) error {
-	if len(accs) != len(db.scheme.Ops) {
-		return fmt.Errorf("core: merge: accumulator count %d does not match scheme (%d ops)",
-			len(accs), len(db.scheme.Ops))
-	}
-	db.keyBuf = db.keyBuf[:0]
-	for _, g := range groups {
-		if g.pos < 0 || g.pos >= len(db.scheme.Key) {
-			return fmt.Errorf("core: merge: key position %d out of range", g.pos)
-		}
-		db.keyBuf = binary.AppendUvarint(db.keyBuf, uint64(g.pos))
-		db.keyBuf = binary.AppendUvarint(db.keyBuf, uint64(len(g.values)))
-		for _, v := range g.values {
-			db.keyBuf = v.AppendEncoded(db.keyBuf)
-		}
-	}
-	b, ok := db.buckets[string(db.keyBuf)]
-	if !ok {
-		b = &bucket{key: string(db.keyBuf), accs: make([]accum, len(db.scheme.Ops))}
-		db.insertBucket(b)
-	}
-	for i := range accs {
-		b.accs[i].merge(&db.scheme.Ops[i], &accs[i])
-	}
-	return nil
 }
 
 // Merge folds all aggregation records of other into db. Both databases
@@ -358,8 +362,7 @@ func (db *DB) Merge(other *DB) error {
 	for _, sb := range other.order {
 		b, ok := db.buckets[sb.key]
 		if !ok {
-			b = &bucket{key: sb.key, accs: make([]accum, len(db.scheme.Ops))}
-			db.insertBucket(b)
+			b = db.newBucket(sb.key, sb.groups)
 		}
 		for i := range sb.accs {
 			b.accs[i].merge(&db.scheme.Ops[i], &sb.accs[i])
@@ -404,11 +407,15 @@ func (db *DB) noteWireType(opIndex int, t attr.Type) {
 	db.wireTypes[opIndex] = t
 }
 
-// resolveTargetType finds the output type basis for an operator: the target
+// targetType finds the output type basis of operator i: the target
 // attribute's type if registered, else the pre-aggregated result
-// attribute's type, else a type learned from received encoded state, else
-// Float.
-func (db *DB) resolveTargetType(op *OpSpec) attr.Type {
+// attribute's type, else a type learned from received encoded state. It is
+// attr.Inv when none of them knows — a database that has seen neither
+// input nor typed state, such as an idle rank's. Flush then falls back to
+// Float; EncodeState sends the Inv, which a receiver ignores, so that an
+// idle sender's guess never overrides a type the receiver learned.
+func (db *DB) targetType(i int) attr.Type {
+	op := &db.scheme.Ops[i]
 	if !op.Kind.NeedsTarget() {
 		return attr.Uint
 	}
@@ -419,13 +426,9 @@ func (db *DB) resolveTargetType(op *OpSpec) attr.Type {
 		return a.Type()
 	}
 	if db.wireTypes != nil {
-		for i := range db.scheme.Ops {
-			if &db.scheme.Ops[i] == op && db.wireTypes[i] != attr.Inv {
-				return db.wireTypes[i]
-			}
-		}
+		return db.wireTypes[i]
 	}
-	return attr.Float
+	return attr.Inv
 }
 
 // sortedBuckets returns the buckets ordered by key encoding — the
@@ -436,8 +439,8 @@ func (db *DB) sortedBuckets() []*bucket {
 	if db.flushOrder == nil {
 		db.flushOrder = make([]*bucket, len(db.order))
 		copy(db.flushOrder, db.order)
-		sort.Slice(db.flushOrder, func(i, j int) bool {
-			return db.flushOrder[i].key < db.flushOrder[j].key
+		slices.SortFunc(db.flushOrder, func(a, b *bucket) int {
+			return strings.Compare(a.key, b.key)
 		})
 	}
 	return db.flushOrder
@@ -456,7 +459,10 @@ func (db *DB) Flush(emit func(snapshot.FlatRecord) error) error {
 	resTypes := make([]attr.Type, len(db.scheme.Ops))
 	for i := range db.scheme.Ops {
 		op := &db.scheme.Ops[i]
-		tt := db.resolveTargetType(op)
+		tt := db.targetType(i)
+		if tt == attr.Inv {
+			tt = attr.Float
+		}
 		resTypes[i] = tt
 		a, err := db.reg.Create(op.ResultName(), op.ResultType(tt),
 			attr.AsValue|attr.Aggregatable|attr.SkipEvents)
@@ -500,7 +506,11 @@ func (db *DB) Flush(emit func(snapshot.FlatRecord) error) error {
 				if db.keyIsNested(g.pos, keyAttrs) {
 					props = attr.Nested
 				}
-				a, err := db.reg.Create(db.scheme.Key[g.pos], g.values[0].Kind(), props)
+				typ := g.values[0].Kind()
+				if typ == attr.Inv {
+					typ = attr.String // an empty value carries no type; any will render it
+				}
+				a, err := db.reg.Create(db.scheme.Key[g.pos], typ, props)
 				if err != nil {
 					return fmt.Errorf("core: flush: reconstruct key attribute: %w", err)
 				}
@@ -635,5 +645,6 @@ func (db *DB) Clear() {
 	db.buckets = map[string]*bucket{}
 	db.order = nil
 	db.flushOrder = nil
+	db.bucketSlab = nil
 	db.processed = 0
 }

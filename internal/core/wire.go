@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"caligo/internal/attr"
 	"caligo/internal/trace"
@@ -19,21 +20,43 @@ import (
 // wireVersion guards against format drift between peers.
 const wireVersion = 2
 
+// A bucket travels as its key-group count, its key and its accumulators,
+// and the key part is the bucket's canonical key encoding byte for byte
+// (bucketFor): per group the key position, the value count and the
+// self-delimiting variants. EncodeState therefore copies key bytes and
+// never decodes them. That is sound because the encoding is canonical and
+// injective — one byte string per key path, minimal varints only — and
+// MergeEncodedState re-encodes every key it accepts, so no database ever
+// holds, or sends, another spelling of a key.
+
 // EncodeState serializes the database's aggregation records. The output
 // can be merged into any DB with an equal scheme via MergeEncodedState.
 func (db *DB) EncodeState() []byte {
-	buf := []byte{wireVersion}
-	buf = binary.AppendUvarint(buf, uint64(len(db.scheme.Ops)))
-	// per-op resolved target types, so a receiver whose registry has not
-	// seen the target attributes still emits correctly typed results
+	sorted := db.sortedBuckets()
+	nops, nkeys := len(db.scheme.Ops), len(db.scheme.Key)
+	// the exact encoded size, so the buffer is the one allocation of an
+	// encode
+	size := 1 + uvarintLen(uint64(nops)) + nops + uvarintLen(uint64(nkeys)) + nkeys +
+		uvarintLen(uint64(len(sorted))) + uvarintLen(db.processed)
+	for _, b := range sorted {
+		size += uvarintLen(uint64(b.groups)) + len(b.key)
+		for i := range b.accs {
+			size += accumLen(&b.accs[i])
+		}
+	}
+	buf := append(make([]byte, 0, size), wireVersion)
+	buf = binary.AppendUvarint(buf, uint64(nops))
+	// per-op resolved target types (Inv: not known here), so a receiver
+	// whose registry has not seen the target attributes still emits
+	// correctly typed results
 	for i := range db.scheme.Ops {
-		buf = append(buf, byte(db.resolveTargetType(&db.scheme.Ops[i])))
+		buf = append(buf, byte(db.targetType(i)))
 	}
 	// per-key-attribute nested flags: the receiver needs them to expand
 	// inclusive_sum hierarchies (flag 2 = metadata known). Flags learned
 	// from received state propagate, so intermediate reduction nodes with
 	// fresh registries do not lose them.
-	buf = binary.AppendUvarint(buf, uint64(len(db.scheme.Key)))
+	buf = binary.AppendUvarint(buf, uint64(nkeys))
 	for pos, name := range db.scheme.Key {
 		var flag byte
 		if a, ok := db.reg.Find(name); ok {
@@ -46,29 +69,33 @@ func (db *DB) EncodeState() []byte {
 		}
 		buf = append(buf, flag)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(db.buckets)))
+	buf = binary.AppendUvarint(buf, uint64(len(sorted)))
 	buf = binary.AppendUvarint(buf, db.processed)
 
-	for _, b := range db.sortedBuckets() {
-		groups, err := db.decodeKeyGroups(b.key)
-		if err != nil {
-			// keys are produced by our own encoder; a decode failure means
-			// memory corruption, not a recoverable condition
-			panic(err)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(groups)))
-		for _, g := range groups {
-			buf = binary.AppendUvarint(buf, uint64(g.pos))
-			buf = binary.AppendUvarint(buf, uint64(len(g.values)))
-			for _, v := range g.values {
-				buf = v.AppendEncoded(buf)
-			}
-		}
+	for _, b := range sorted {
+		buf = binary.AppendUvarint(buf, uint64(b.groups))
+		buf = append(buf, b.key...)
 		for i := range b.accs {
 			buf = appendAccum(buf, &b.accs[i])
 		}
 	}
 	return buf
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// accumLen is the number of bytes appendAccum writes for a.
+func accumLen(a *accum) int {
+	n := 1 + uvarintLen(a.count) + uvarintLen(uint64(a.isum<<1^a.isum>>63)) + 16 +
+		a.min.EncodedLen() + a.max.EncodedLen()
+	if a.bins != nil {
+		n += uvarintLen(uint64(len(a.bins)))
+		for _, c := range a.bins {
+			n += uvarintLen(c)
+		}
+	}
+	return n
 }
 
 // appendAccum serializes one accumulator.
@@ -174,6 +201,19 @@ func (r *wireReader) variant() attr.Variant {
 	return v
 }
 
+// canonical appends the canonical encoding of the next variant to dst.
+func (r *wireReader) canonical(dst []byte) []byte {
+	if r.err != nil {
+		return dst
+	}
+	dst, n, err := attr.AppendCanonical(dst, r.buf[r.pos:])
+	if err != nil {
+		r.fail("%v", err)
+	}
+	r.pos += n
+	return dst
+}
+
 // MergeEncodedState decodes a state blob produced by EncodeState (from a
 // DB with an equal scheme) and merges its aggregation records into db.
 func (db *DB) MergeEncodedState(data []byte) error {
@@ -216,29 +256,53 @@ func (db *DB) MergeEncodedState(data []byte) error {
 		return fmt.Errorf("core: decode state: implausible bucket count %d", nBuckets)
 	}
 
-	groups := []keyGroup{}
-	accs := make([]accum, len(db.scheme.Ops))
+	if db.wireAccs == nil {
+		db.wireAccs = make([]accum, len(db.scheme.Ops))
+	}
+	accs := db.wireAccs
 	for bi := uint64(0); bi < nBuckets && r.err == nil; bi++ {
 		nGroups := r.uvarint()
 		if r.err == nil && nGroups > uint64(len(db.scheme.Key)) {
 			return fmt.Errorf("core: decode state: %d key groups, scheme key has %d attributes",
 				nGroups, len(db.scheme.Key))
 		}
-		groups = groups[:0]
+		// the key is re-encoded value by value straight into the lookup
+		// buffer: what comes out is the one canonical spelling bucketFor
+		// would have produced, whatever varints the sender wrote
+		db.keyBuf = db.keyBuf[:0]
+		prev := -1
 		for gi := uint64(0); gi < nGroups && r.err == nil; gi++ {
 			pos := r.uvarint()
 			nVals := r.uvarint()
-			if r.err == nil && nVals > uint64(len(r.buf)-r.pos) {
+			if r.err != nil {
+				break
+			}
+			if pos >= uint64(len(db.scheme.Key)) {
+				return fmt.Errorf("core: decode state: key position %d out of range", pos)
+			}
+			// bucketFor writes positions in ascending order and only those
+			// that have values; any other shape would be a second bucket
+			// for one logical key, and an empty group has no value to
+			// reconstruct the key attribute from at flush time
+			if int(pos) <= prev {
+				return fmt.Errorf("core: decode state: key position %d not in ascending order", pos)
+			}
+			prev = int(pos)
+			if nVals == 0 {
+				return fmt.Errorf("core: decode state: key group at position %d has no values", pos)
+			}
+			if nVals > uint64(len(r.buf)-r.pos) {
 				return fmt.Errorf("core: decode state: implausible value count %d", nVals)
 			}
-			vals := make([]attr.Variant, 0, nVals)
+			db.keyBuf = binary.AppendUvarint(db.keyBuf, pos)
+			db.keyBuf = binary.AppendUvarint(db.keyBuf, nVals)
 			for vi := uint64(0); vi < nVals && r.err == nil; vi++ {
-				vals = append(vals, r.variant())
+				db.keyBuf = r.canonical(db.keyBuf)
 			}
-			groups = append(groups, keyGroup{pos: int(pos), values: vals})
 		}
+		db.wireBins = db.wireBins[:0]
 		for i := range accs {
-			accs[i] = decodeAccum(r)
+			db.decodeAccum(r, &accs[i])
 		}
 		if r.err != nil {
 			return r.err
@@ -257,8 +321,12 @@ func (db *DB) MergeEncodedState(data []byte) error {
 				return fmt.Errorf("core: decode state: op %d: unexpected histogram bins", i)
 			}
 		}
-		if err := db.mergeBucket(groups, accs); err != nil {
-			return err
+		b, ok := db.buckets[string(db.keyBuf)]
+		if !ok {
+			b = db.newBucket(string(db.keyBuf), int(nGroups))
+		}
+		for i := range accs {
+			b.accs[i].merge(&db.scheme.Ops[i], &accs[i])
 		}
 	}
 	if r.err != nil {
@@ -268,11 +336,12 @@ func (db *DB) MergeEncodedState(data []byte) error {
 	return nil
 }
 
-// decodeAccum reads one accumulator.
-func decodeAccum(r *wireReader) accum {
-	var a accum
+// decodeAccum reads one accumulator into a. Histogram bins land in the
+// database's bin scratch, which one bucket's accumulators share: accum.merge
+// copies what it keeps, so a is good until the next bucket is decoded.
+func (db *DB) decodeAccum(r *wireReader, a *accum) {
 	flags := r.byte()
-	a.seen = flags&1 != 0
+	*a = accum{seen: flags&1 != 0}
 	a.count = r.uvarint()
 	a.isum = r.varint()
 	a.fsum = r.float()
@@ -283,12 +352,17 @@ func decodeAccum(r *wireReader) accum {
 		n := r.uvarint()
 		if r.err == nil && (n > 1<<20 || n > uint64(len(r.buf)-r.pos)) {
 			r.fail("implausible histogram size %d", n)
-			return a
+			return
 		}
-		a.bins = make([]uint64, n)
-		for i := range a.bins {
-			a.bins[i] = r.uvarint()
+		if db.wireBins == nil {
+			// present bins are non-nil even when there are none of them:
+			// presence is what the caller's shape check reads
+			db.wireBins = []uint64{}
 		}
+		start := len(db.wireBins)
+		for i := uint64(0); i < n; i++ {
+			db.wireBins = append(db.wireBins, r.uvarint())
+		}
+		a.bins = db.wireBins[start:]
 	}
-	return a
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -198,21 +199,32 @@ func TestQuickWirePartitionEqualsDirect(t *testing.T) {
 
 // FuzzStateDecode hammers MergeEncodedState with corrupted, truncated,
 // and arbitrary byte blobs: it must either return an error or merge
-// cleanly — never panic, and never leave the DB unable to flush. Seeds
-// include a valid encoding plus systematic truncations and bit flips.
+// cleanly — never panic, and never leave the DB unable to flush, whether
+// or not the receiver's registry knows the key and target attributes (a
+// cache hit or an interior reduction node does not). What it accepts is
+// canonical after one hop: encoding the receiver and merging that into an
+// empty database encodes to the same bytes. Seeds include a valid encoding
+// plus systematic truncations and bit flips, under a one-key and a two-key
+// scheme.
 func FuzzStateDecode(f *testing.F) {
 	reg := attr.NewRegistry()
 	fn := reg.MustCreate("function", attr.String, attr.Nested)
+	iter := reg.MustCreate("loop.iteration", attr.Int, 0)
 	dur := reg.MustCreate("time.duration", attr.Int, attr.AsValue|attr.Aggregatable)
-	scheme := MustScheme([]string{"function"},
-		[]OpSpec{{Kind: OpCount}, {Kind: OpSum, Target: "time.duration"},
-			{Kind: OpHistogram, Target: "time.duration", HistMin: 0, HistMax: 50, HistBins: 4}})
+	ops := []OpSpec{{Kind: OpCount}, {Kind: OpSum, Target: "time.duration"},
+		{Kind: OpHistogram, Target: "time.duration", HistMin: 0, HistMax: 50, HistBins: 4}}
+	scheme := MustScheme([]string{"function"}, ops)
+	scheme2 := MustScheme([]string{"function", "loop.iteration"}, ops)
 	src, _ := NewDB(scheme, reg)
+	src2, _ := NewDB(scheme2, reg)
 	for i := 0; i < 20; i++ {
-		src.Update(snapshot.FlatRecord{
+		rec := snapshot.FlatRecord{
 			{Attr: fn, Value: attr.StringV([]string{"a", "b"}[i%2])},
+			{Attr: iter, Value: attr.IntV(int64(i % 3))},
 			{Attr: dur, Value: attr.IntV(int64(i * 3))},
-		})
+		}
+		src.Update(rec)
+		src2.Update(rec)
 	}
 	valid := src.EncodeState()
 
@@ -229,17 +241,47 @@ func FuzzStateDecode(f *testing.F) {
 	f.Add(corrupt)                                                                         // flipped byte mid-stream
 	f.Add([]byte{wireVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // huge uvarint op count
 
+	// one bucket with unseen accumulators behind the given key bytes
+	oneBucket := func(nKeys int, key ...byte) []byte {
+		b := []byte{wireVersion, 3, byte(attr.Uint), byte(attr.Int), byte(attr.Int), byte(nKeys)}
+		b = append(b, make([]byte, nKeys)...) // nested flags: unknown
+		b = append(b, 1, 0)                   // one bucket, nothing processed
+		b = append(b, key...)
+		for range ops {
+			b = appendAccum(b, &accum{})
+		}
+		return b
+	}
+	f.Add(src2.EncodeState())
+	// a key group without values: flush has no value to take the key
+	// attribute's type from when the registry does not know the attribute
+	f.Add(oneBucket(1, 1, 0, 0))
+	// key positions out of order: a second spelling of the key {0:a, 1:1}
+	f.Add(oneBucket(2, 2, 1, 1, byte(attr.Int), 1, 0, 1, byte(attr.String), 1, 'a'))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := NewDB(scheme, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.MergeEncodedState(data); err != nil {
-			return // rejected: fine, as long as we did not panic
-		}
-		// accepted: the DB must still be coherent enough to flush
-		if _, err := db.FlushRecords(); err != nil {
-			t.Fatalf("accepted blob but flush failed: %v", err)
+		for _, scheme := range []*Scheme{scheme, scheme2} {
+			for _, reg := range []*attr.Registry{reg, attr.NewRegistry()} {
+				db, err := NewDB(scheme, reg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := db.MergeEncodedState(data); err != nil {
+					continue // rejected: fine, as long as we did not panic
+				}
+				// accepted: the DB must still be coherent enough to flush
+				if _, err := db.FlushRecords(); err != nil {
+					t.Fatalf("accepted blob but flush failed: %v", err)
+				}
+				once := db.EncodeState()
+				hop, _ := NewDB(scheme, reg)
+				if err := hop.MergeEncodedState(once); err != nil {
+					t.Fatalf("accepted blob but its re-encoding is rejected: %v", err)
+				}
+				if twice := hop.EncodeState(); !bytes.Equal(once, twice) {
+					t.Fatalf("state is not canonical after one hop:\n%x\n%x", once, twice)
+				}
+			}
 		}
 	})
 }

@@ -346,62 +346,70 @@ func (c *Comm) Reduce(root int, data []byte, combine Combine) ([]byte, error) {
 // (fan-in 2 is the binomial tree). Exposed for the ablation study of the
 // reduction-tree arity.
 func (c *Comm) ReduceFanin(root int, data []byte, combine Combine, fanin int) ([]byte, error) {
-	return c.reduceFaninTag(root, data, combine, fanin, tagReduce)
+	acc := data
+	err := c.fold(root, fanin, tagReduce, func(got []byte) (err error) {
+		acc, err = combine(acc, got)
+		return err
+	}, func() []byte { return acc })
+	if err != nil || c.rank != root {
+		return nil, err
+	}
+	return acc, nil
 }
 
-// ReduceFaninTelemetry is ReduceFanin over the dedicated telemetry tag
+// ReduceFold is the tree reduction over state the ranks already hold,
+// rather than over opaque payloads: in tree order a rank absorbs each of
+// its children's messages into its own state, then — unless it is the
+// root — sends its contribution to its parent. contribution is called
+// once, after the last absorb, so a rank serializes what it holds once
+// however many children it has; the root, whose state is the result, is
+// never asked for one. The tree is the fan-in-k generalization of the
+// binomial tree (fanin ≥ 2).
+func (c *Comm) ReduceFold(root, fanin int, absorb func([]byte) error, contribution func() []byte) error {
+	return c.fold(root, fanin, tagReduce, absorb, contribution)
+}
+
+// ReduceFoldTelemetry is ReduceFold over the dedicated telemetry tag
 // space, so a telemetry-reduction epoch (rnet.SyncTelemetry, pquery's
 // post-query epoch) can never collide with an application data reduction
 // even when both are in flight on the same communicator.
-func (c *Comm) ReduceFaninTelemetry(root int, data []byte, combine Combine, fanin int) ([]byte, error) {
-	return c.reduceFaninTag(root, data, combine, fanin, tagReduceTel)
+func (c *Comm) ReduceFoldTelemetry(root, fanin int, absorb func([]byte) error, contribution func() []byte) error {
+	return c.fold(root, fanin, tagReduceTel, absorb, contribution)
 }
 
-func (c *Comm) reduceFaninTag(root int, data []byte, combine Combine, fanin, tagBase int) ([]byte, error) {
+// fold is the one walk of the reduction tree; see ReduceFold.
+func (c *Comm) fold(root, fanin, tagBase int, absorb func([]byte) error, contribution func() []byte) error {
 	p := c.world.size
 	if root < 0 || root >= p {
-		return nil, fmt.Errorf("mpi: reduce: invalid root %d", root)
+		return fmt.Errorf("mpi: reduce: invalid root %d", root)
 	}
 	if fanin < 2 {
-		return nil, fmt.Errorf("mpi: reduce: fan-in must be >= 2, got %d", fanin)
-	}
-	if p == 1 {
-		return data, nil
+		return fmt.Errorf("mpi: reduce: fan-in must be >= 2, got %d", fanin)
 	}
 	vrank := (c.rank - root + p) % p
-	acc := data
 	// k-ary tree generalization of the binomial exchange: in round r
 	// (digit position in base `fanin`), ranks whose digit is zero receive
 	// from up to fanin-1 children; others send to their parent and stop.
-	stride := 1
-	for stride < p {
-		digit := (vrank / stride) % fanin
-		if digit != 0 {
-			parentV := vrank - digit*stride
-			parent := (parentV + root) % p
-			if err := c.Send(parent, tagBase-stride, acc); err != nil {
-				return nil, err
-			}
-			return nil, nil
+	for stride := 1; stride < p; stride *= fanin {
+		if digit := (vrank / stride) % fanin; digit != 0 {
+			parent := (vrank - digit*stride + root) % p
+			return c.Send(parent, tagBase-stride, contribution())
 		}
 		for d := 1; d < fanin; d++ {
 			childV := vrank + d*stride
 			if childV >= p {
 				break
 			}
-			child := (childV + root) % p
-			got, _, err := c.Recv(child, tagBase-stride)
+			got, _, err := c.Recv((childV+root)%p, tagBase-stride)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			acc, err = combine(acc, got)
-			if err != nil {
-				return nil, err
+			if err := absorb(got); err != nil {
+				return err
 			}
 		}
-		stride *= fanin
 	}
-	return acc, nil
+	return nil
 }
 
 // Allreduce folds every rank's contribution and distributes the result to

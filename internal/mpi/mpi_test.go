@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -279,6 +280,71 @@ func TestReduceFaninVariants(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReduceFold: every rank folds its children into a counter it owns.
+// Each rank but the root contributes exactly once, after its last absorb;
+// the root is never asked to; the root's counter ends up as the sum; and an
+// absorb error stops the rank. The telemetry variant walks the same tree on
+// its own tags, so the two can be in flight together.
+func TestReduceFold(t *testing.T) {
+	for _, fanin := range []int{2, 3, 8} {
+		for _, p := range []int{1, 2, 5, 16, 27} {
+			for _, root := range []int{0, p - 1} {
+				w, _ := NewWorld(p)
+				err := w.Run(func(c *Comm) error {
+					sum, telSum := uint64(c.Rank()+1), uint64(1)
+					contributed, absorbedAfter := 0, false
+					absorbInto := func(dst *uint64) func([]byte) error {
+						return func(b []byte) error {
+							absorbedAfter = contributed > 0
+							*dst += binary.LittleEndian.Uint64(b)
+							return nil
+						}
+					}
+					// the telemetry contribution is sent first and absorbed last
+					err := c.ReduceFoldTelemetry(root, fanin, absorbInto(&telSum), func() []byte { return u64(telSum) })
+					if err != nil {
+						return err
+					}
+					err = c.ReduceFold(root, fanin, absorbInto(&sum), func() []byte {
+						contributed++
+						return u64(sum)
+					})
+					if err != nil {
+						return err
+					}
+					if absorbedAfter {
+						return fmt.Errorf("rank %d absorbed after contributing", c.Rank())
+					}
+					if c.Rank() != root {
+						if contributed != 1 {
+							return fmt.Errorf("rank %d contributed %d times", c.Rank(), contributed)
+						}
+						return nil
+					}
+					if contributed != 0 {
+						return fmt.Errorf("the root was asked for a contribution")
+					}
+					if want := uint64(p * (p + 1) / 2); sum != want || telSum != uint64(p) {
+						return fmt.Errorf("sum = %d, want %d; telemetry sum = %d, want %d", sum, want, telSum, p)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("fanin=%d p=%d root=%d: %v", fanin, p, root, err)
+				}
+			}
+		}
+	}
+	w, _ := NewWorld(4)
+	boom := fmt.Errorf("bad payload")
+	err := w.Run(func(c *Comm) error {
+		return c.ReduceFold(0, 2, func([]byte) error { return boom }, func() []byte { return nil })
+	})
+	if !errors.Is(err, boom) {
+		t.Errorf("absorb error: got %v, want %v", err, boom)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"caligo/internal/attr"
 	"caligo/internal/core"
 	"caligo/internal/snapshot"
 )
@@ -32,22 +31,6 @@ func ClusterScheme() *core.Scheme {
 			{Kind: core.OpSum, Target: AttrBinCount},
 			{Kind: core.OpMax, Target: AttrWindowStart},
 		})
-}
-
-// CombineEncoded merges two encoded cluster-scheme DB states — the
-// mpi.Combine function of the telemetry-reduction tree.
-func CombineEncoded(a, b []byte) ([]byte, error) {
-	db, err := core.NewDB(ClusterScheme(), attr.NewRegistry())
-	if err != nil {
-		return nil, err
-	}
-	if err := db.MergeEncodedState(a); err != nil {
-		return nil, err
-	}
-	if err := db.MergeEncodedState(b); err != nil {
-		return nil, err
-	}
-	return db.EncodeState(), nil
 }
 
 // RankValue is one rank's contribution to a cluster metric.

@@ -271,9 +271,10 @@ func TestSyncTelemetryAccumulatesEpochs(t *testing.T) {
 	}
 }
 
-// TestCombineEncodedEmpty checks the reduction combine tolerates empty
-// payloads (ranks without a recorder contribute empty deltas).
-func TestCombineEncodedEmpty(t *testing.T) {
+// TestClusterAbsorbsEmptyState checks a step of the telemetry-reduction
+// fold tolerates an empty payload (ranks without a recorder contribute
+// empty deltas).
+func TestClusterAbsorbsEmptyState(t *testing.T) {
 	reg := attr.NewRegistry()
 	schema, err := NewSchema(reg)
 	if err != nil {
@@ -287,12 +288,11 @@ func TestCombineEncodedEmpty(t *testing.T) {
 		db.Update(r)
 	}
 	empty := mustClusterDB(t, attr.NewRegistry())
-	out, err := CombineEncoded(db.EncodeState(), empty.EncodeState())
-	if err != nil {
+	if err := db.MergeEncodedState(empty.EncodeState()); err != nil {
 		t.Fatal(err)
 	}
 	roundtrip := mustClusterDB(t, attr.NewRegistry())
-	if err := roundtrip.MergeEncodedState(out); err != nil {
+	if err := roundtrip.MergeEncodedState(db.EncodeState()); err != nil {
 		t.Fatal(err)
 	}
 	view, err := BuildClusterView(roundtrip, roundtrip, 1, 42)

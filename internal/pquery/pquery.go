@@ -7,8 +7,12 @@
 // root process.
 //
 // The MPI layer is emulated (internal/mpi); the reduction tree and the
-// per-level deserialize → aggregate → serialize steps are identical to a
-// real MPI deployment.
+// messages on it are those of a real MPI deployment. The reduction is a
+// fold into live state (mpi.Comm.ReduceFold): each rank deserializes its
+// children's partial results straight into the aggregation database its
+// local phase built, and serializes that database once, for its parent.
+// The root serializes nothing and renders the result from its own database
+// against its own registry — the one its local phase read its input with.
 package pquery
 
 import (
@@ -22,7 +26,6 @@ import (
 	"caligo/internal/calformat"
 	"caligo/internal/calql"
 	"caligo/internal/contexttree"
-	"caligo/internal/core"
 	"caligo/internal/mpi"
 	"caligo/internal/query"
 	"caligo/internal/snapshot"
@@ -167,7 +170,7 @@ func runRank(c *mpi.Comm, x *query.Exec, fanin int, input func(rank int) (query.
 
 	var res *Result // the root's; nil elsewhere
 	if x.Q.HasAggregation() {
-		res, err = reduceAggregated(c, x, eng, fanin, processed)
+		res, err = reduceAggregated(c, x, eng, reg, fanin, processed)
 	} else {
 		res, err = gatherRows(c, x, eng, reg, processed)
 	}
@@ -210,46 +213,36 @@ func decodePayload(b []byte) (state []byte, processed uint64, err error) {
 	return b[8:], binary.LittleEndian.Uint64(b), nil
 }
 
-// reduceAggregated performs the tree reduction of aggregation databases.
-// On the root it returns the merged rows, not yet finalized, with the
-// registry they resolve against and the record count summed over the
-// ranks; on the other ranks, nil.
-func reduceAggregated(c *mpi.Comm, x *query.Exec, eng *query.Engine, fanin int, processed uint64) (*Result, error) {
-	scheme := eng.DB().Scheme()
-	payload := encodePayload(eng.DB().EncodeState(), processed)
-
-	combine := func(a, b []byte) ([]byte, error) {
-		sa, na, err := decodePayload(a)
-		if err != nil {
-			return nil, err
-		}
-		sb, nb, err := decodePayload(b)
-		if err != nil {
-			return nil, err
-		}
-		reg := attr.NewRegistry()
-		db, err := core.NewDB(scheme, reg)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.MergeEncodedState(sa); err != nil {
-			return nil, err
-		}
-		if err := db.MergeEncodedState(sb); err != nil {
-			return nil, err
-		}
-		out := encodePayload(db.EncodeState(), na+nb)
-		// charge merge compute to the combining rank's virtual clock
-		// (deterministic model, see mergeBaseNs/perBucketNs)
-		c.Advance(mergeBaseNs + perBucketNs*float64(db.Len()))
-		return out, nil
-	}
-
+// reduceAggregated performs the tree reduction of aggregation databases as
+// a fold into the database each rank already holds: a rank merges its
+// children's encoded state straight into its own engine's database and
+// encodes that once, when it sends to its parent. The root encodes
+// nothing: it flushes its database against its own registry, reg. On the
+// root it returns the merged rows, not yet finalized, with that registry
+// and the record count summed over the ranks; on the other ranks, nil.
+func reduceAggregated(c *mpi.Comm, x *query.Exec, eng *query.Engine, reg *attr.Registry, fanin int, processed uint64) (*Result, error) {
+	db := eng.DB()
 	reduceStart := time.Now()
 	sp := x.Span("pquery.reduce", c.Rank())
 	defer sp.End()
-	sp.ArgInt("bytes", int64(len(payload)))
-	final, err := c.ReduceFanin(0, payload, combine, fanin)
+	err := c.ReduceFold(0, fanin, func(got []byte) error {
+		state, n, err := decodePayload(got)
+		if err != nil {
+			return err
+		}
+		if err := db.MergeEncodedState(state); err != nil {
+			return err
+		}
+		processed += n
+		// charge merge compute to the absorbing rank's virtual clock
+		// (deterministic model, see mergeBaseNs/perBucketNs)
+		c.Advance(mergeBaseNs + perBucketNs*float64(db.Len()))
+		return nil
+	}, func() []byte {
+		payload := encodePayload(db.EncodeState(), processed)
+		sp.ArgInt("bytes", int64(len(payload)))
+		return payload
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -257,24 +250,12 @@ func reduceAggregated(c *mpi.Comm, x *query.Exec, eng *query.Engine, fanin int, 
 	if c.Rank() != 0 {
 		return nil, nil
 	}
-	state, total, err := decodePayload(final)
-	if err != nil {
-		return nil, err
-	}
-	rootReg := attr.NewRegistry()
-	rootDB, err := core.NewDB(scheme, rootReg)
-	if err != nil {
-		return nil, err
-	}
-	if err := rootDB.MergeEncodedState(state); err != nil {
-		return nil, err
-	}
-	rows, err := rootDB.FlushRecords()
+	rows, err := db.FlushRecords()
 	if err != nil {
 		return nil, err
 	}
 	sp.ArgInt("rows", int64(len(rows)))
-	return &Result{Rows: rows, Reg: rootReg, RecordsProcessed: total}, nil
+	return &Result{Rows: rows, Reg: reg, RecordsProcessed: processed}, nil
 }
 
 // gatherRows collects filtered rows at the root for non-aggregating

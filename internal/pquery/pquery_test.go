@@ -20,7 +20,10 @@ import (
 
 // genDataset builds a per-rank .cali stream with deterministic content:
 // kernels with durations, MPI functions, and the rank id.
-func genDataset(rank, records int) []byte {
+func genDataset(rank, records int) []byte { return genDatasetScaled(rank, records, 1) }
+
+// genDatasetScaled is genDataset with every duration multiplied by scale.
+func genDatasetScaled(rank, records int, scale int64) []byte {
 	reg := attr.NewRegistry()
 	tree := contexttree.New()
 	kernel := reg.MustCreate("kernel", attr.String, attr.Nested)
@@ -44,7 +47,7 @@ func genDataset(rank, records int) []byte {
 				attr.StringV(kernels[rng.Intn(len(kernels))])))
 		}
 		b.AddNode(tree.GetChild(contexttree.InvalidNode, rankA, attr.IntV(int64(rank))))
-		b.AddImmediate(dur, attr.IntV(int64(rng.Intn(100))))
+		b.AddImmediate(dur, attr.IntV(scale*int64(rng.Intn(100))))
 		if err := w.WriteRecord(b.Record()); err != nil {
 			panic(err)
 		}

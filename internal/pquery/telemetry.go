@@ -42,21 +42,13 @@ func telemetryEpoch(c *mpi.Comm, fanin int, processed uint64, localWall time.Dur
 	for _, rec := range recs {
 		db.Update(rec)
 	}
-	merged, err := c.ReduceFaninTelemetry(0, db.EncodeState(), history.CombineEncoded, fanin)
-	if err != nil {
+	// every rank folds its children into its own window database; the
+	// root's then holds the cluster-wide epoch
+	err = c.ReduceFoldTelemetry(0, fanin, db.MergeEncodedState, db.EncodeState)
+	if err != nil || c.Rank() != 0 {
 		return err
 	}
-	if c.Rank() != 0 {
-		return nil
-	}
-	root, err := core.NewDB(history.ClusterScheme(), attr.NewRegistry())
-	if err != nil {
-		return err
-	}
-	if err := root.MergeEncodedState(merged); err != nil {
-		return err
-	}
-	view, err := history.BuildClusterView(root, root, 1, time.Now().UnixNano())
+	view, err := history.BuildClusterView(db, db, 1, time.Now().UnixNano())
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"caligo/internal/attr"
 	"caligo/internal/calformat"
@@ -37,6 +38,19 @@ type Engine struct {
 	// node arena and scan buffer for all of its files.
 	rd *calformat.Reader
 }
+
+// readerPool holds the readers finished scan workers hand back: an
+// emulated rank is a worker with one file, so without it every rank of
+// every query would grow a scan buffer and a node arena of its own. A
+// pooled reader sits on an empty source with no registry, so the pool pins
+// neither files nor registries, and Reset's registry check clears the
+// intern table when the reader is taken up again.
+var readerPool = sync.Pool{New: func() any { return calformat.NewReader(parked{}, nil, nil) }}
+
+// parked is the source of a reader in readerPool.
+type parked struct{}
+
+func (parked) Read([]byte) (int, error) { return 0, io.EOF }
 
 // resolvedLet caches the derived attribute handle for a LET definition.
 type resolvedLet struct {
@@ -190,11 +204,21 @@ func MustNew(q *calql.Query, reg *attr.Registry) *Engine {
 // reader returns the engine's reader, reset onto src.
 func (e *Engine) reader(src io.Reader, reg *attr.Registry, tree *contexttree.Tree) *calformat.Reader {
 	if e.rd == nil {
-		e.rd = calformat.NewReader(src, reg, tree)
-	} else {
-		e.rd.Reset(src, reg, tree)
+		e.rd = readerPool.Get().(*calformat.Reader)
 	}
+	e.rd.Reset(src, reg, tree)
 	return e.rd
+}
+
+// releaseReader hands the engine's reader, if it took one, to readerPool.
+// The engine's results do not depend on it: records are copied out of the
+// reader's buffers as they are processed.
+func (e *Engine) releaseReader() {
+	if e.rd != nil {
+		e.rd.Reset(parked{}, nil, nil)
+		readerPool.Put(e.rd)
+		e.rd = nil
+	}
 }
 
 // DB exposes the engine's aggregation database (nil for non-aggregating

@@ -207,6 +207,7 @@ func (x *Exec) work(s *shard, w, workers int, reg *attr.Registry, rank int, unit
 	if s.eng, s.err = New(x.Q, reg); s.err != nil {
 		return
 	}
+	defer s.eng.releaseReader()
 	nunits := 0
 	for ui := w; ui < len(units); ui += workers {
 		n, nb, err := x.Plan.ScanUnit(s.eng, units[ui], reg, nil)

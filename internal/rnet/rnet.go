@@ -142,29 +142,19 @@ func (n *Node) Sync() (*core.DB, error) {
 	}
 	sp := trace.BeginRank("rnet.sync", n.comm.Rank())
 	defer sp.End()
-	payload := n.delta.EncodeState()
-	n.delta.Clear()
-	gPendingRecords.Set(0)
-	telDeltaBytes.Add(uint64(len(payload)))
 	sp.ArgInt("epoch", int64(n.epochs))
-	sp.ArgInt("bytes", int64(len(payload)))
-
-	combine := func(a, b []byte) ([]byte, error) {
-		reg := attr.NewRegistry()
-		db, err := core.NewDB(n.scheme, reg)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.MergeEncodedState(a); err != nil {
-			return nil, err
-		}
-		if err := db.MergeEncodedState(b); err != nil {
-			return nil, err
-		}
-		return db.EncodeState(), nil
+	// Every rank folds its children's deltas into its own and encodes the
+	// sum once: for its parent or, on the root, for the cumulative database,
+	// which lives in another registry and so takes it in wire form too.
+	ship := func() []byte {
+		payload := n.delta.EncodeState()
+		n.delta.Clear()
+		gPendingRecords.Set(0)
+		telDeltaBytes.Add(uint64(len(payload)))
+		sp.ArgInt("bytes", int64(len(payload)))
+		return payload
 	}
-	merged, err := n.comm.ReduceFanin(0, payload, combine, n.fanin)
-	if err != nil {
+	if err := n.comm.ReduceFold(0, n.fanin, n.delta.MergeEncodedState, ship); err != nil {
 		return nil, err
 	}
 	n.epochs++
@@ -175,7 +165,7 @@ func (n *Node) Sync() (*core.DB, error) {
 		}
 		return nil, nil
 	}
-	if err := n.global.MergeEncodedState(merged); err != nil {
+	if err := n.global.MergeEncodedState(ship()); err != nil {
 		return nil, err
 	}
 	if !epochStart.IsZero() {
@@ -217,18 +207,22 @@ func (n *Node) SyncTelemetry() (*history.ClusterView, error) {
 			delta.Update(rec)
 		}
 	}
-	payload := delta.EncodeState()
-	telDeltaBytes.Add(uint64(len(payload)))
 	sp.ArgInt("epoch", int64(n.telEpochs))
-	sp.ArgInt("bytes", int64(len(payload)))
-	merged, err := n.comm.ReduceFaninTelemetry(0, payload, history.CombineEncoded, n.fanin)
-	if err != nil {
+	// as in Sync: fold the children into this epoch's database, encode once
+	ship := func() []byte {
+		payload := delta.EncodeState()
+		telDeltaBytes.Add(uint64(len(payload)))
+		sp.ArgInt("bytes", int64(len(payload)))
+		return payload
+	}
+	if err := n.comm.ReduceFoldTelemetry(0, n.fanin, delta.MergeEncodedState, ship); err != nil {
 		return nil, err
 	}
 	n.telEpochs++
 	if n.comm.Rank() != 0 {
 		return nil, nil
 	}
+	merged := ship()
 	if n.telGlobal == nil {
 		n.telGlobal, err = core.NewDB(history.ClusterScheme(), attr.NewRegistry())
 		if err != nil {
