@@ -350,7 +350,7 @@ func TestDebugMetricsScrapeWhileMutate(t *testing.T) {
 				h.Observe(int64(i%1000 + 1))
 				log.Info("mutate", "i", i)
 				aq := obs.BeginQuery("AGGREGATE count", "serial")
-				aq.AddRecords(1)
+				aq.SetRows(1)
 				aq.End(nil)
 			}
 		}()

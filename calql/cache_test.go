@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"caligo/internal/attr"
 	"caligo/internal/calformat"
 	"caligo/internal/contexttree"
+	"caligo/internal/obs"
 	"caligo/internal/qcache"
 	"caligo/internal/snapshot"
 	"caligo/internal/telemetry"
@@ -568,5 +570,57 @@ func TestCacheWarmLargeSums(t *testing.T) {
 			t.Errorf("%s output differs from uncached:\n--- uncached ---\n%s--- %s ---\n%s",
 				mode, want, mode, got)
 		}
+	}
+}
+
+// TestExplainNamesCacheFallbacks: a cache entry that cannot be used falls
+// back to a full scan, and EXPLAIN ANALYZE's cache node says why — the
+// file was rewritten under the entry (stale) or the entry is damaged
+// (corrupt) — next to the hit/miss classification.
+func TestExplainNamesCacheFallbacks(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
+	files := shardedFiles(t, 3)
+	cacheDir := t.TempDir()
+	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
+	if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+		t.Fatal(err)
+	}
+	writeDatasetN(t, files[0], 7, 5) // rewritten in place: stale
+	ents, err := filepath.Glob(filepath.Join(cacheDir, "*"+qcache.EntryExt))
+	if err != nil || len(ents) != len(files) {
+		t.Fatalf("cold run stored %d entries (%v), want %d", len(ents), err, len(files))
+	}
+	damaged := 0
+	for _, p := range ents {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), files[1]) {
+			continue
+		}
+		data[len(data)/2] ^= 0xFF // corrupt
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damaged++
+	}
+	if damaged != 1 {
+		t.Fatalf("damaged %d entries, want the one of %s", damaged, files[1])
+	}
+
+	out, err := ExplainFilesOpts("EXPLAIN ANALYZE "+q, files, 0, 1, Options{CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"fallback_stale=1", "fallback_corrupt=1", "hits=1", "misses=2", "stores=2"} {
+		if !regexp.MustCompile(`-> cache .*\n.* ` + want).MatchString(out) {
+			t.Errorf("EXPLAIN ANALYZE cache node missing %q:\n%s", want, out)
+		}
+	}
+	// the attribution record reads its cache outcome from the same phase
+	if s := obs.QuerySnapshot()[0]; s.Text != q || s.CacheHits != 1 || s.CacheMisses != 2 || s.CacheIncremental != 0 {
+		t.Errorf("/debug/queries record %q: cache hits=%d misses=%d incremental=%d, want 1, 2, 0",
+			s.Text, s.CacheHits, s.CacheMisses, s.CacheIncremental)
 	}
 }

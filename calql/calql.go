@@ -15,7 +15,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"caligo/caliper"
 	"caligo/internal/attr"
@@ -26,7 +25,6 @@ import (
 	"caligo/internal/qcache"
 	"caligo/internal/query"
 	"caligo/internal/snapshot"
-	"caligo/internal/trace"
 )
 
 // Query is a parsed query in the aggregation description language.
@@ -140,7 +138,7 @@ func QueryFilesOpt(queryText string, files []string, opts Options) (*Resultset, 
 // worker goes without a file, so jobs == 1 — or a single file — is serial
 // execution.
 func QueryFilesJobsOpt(queryText string, files []string, jobs int, opts Options) (*Resultset, error) {
-	res, err := run(queryText, files, jobs, 0, opts)
+	res, _, err := run(queryText, files, jobs, 0, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +168,8 @@ func QueryFilesParallelOpt(queryText string, files []string, ranks int, opts Opt
 	if ranks <= 0 {
 		return nil, fmt.Errorf("calql: no input files")
 	}
-	return run(queryText, files, 1, ranks, opts)
+	res, _, err := run(queryText, files, 1, ranks, opts)
+	return res, err
 }
 
 // resolve maps a requested (jobs, ranks) to the execution mode and worker
@@ -191,8 +190,9 @@ func resolve(jobs, ranks, nfiles int) (*query.Mode, int) {
 // run is the one way a query over files executes: parse → registry → scan
 // plan → the executor's local phase (per rank when ranks > 0, followed by
 // the cross-rank tree reduce) → result rows, with query attribution
-// around it all.
-func run(queryText string, files []string, jobs, ranks int, opts Options) (res *ParallelResult, err error) {
+// around it all. It returns the executor too: its profile holds the run's
+// phase times.
+func run(queryText string, files []string, jobs, ranks int, opts Options) (res *ParallelResult, x *query.Exec, err error) {
 	mode, jobs := resolve(jobs, ranks, len(files))
 	aq := obs.BeginQuery(queryText, mode.Engine)
 	defer func() {
@@ -203,21 +203,17 @@ func run(queryText string, files []string, jobs, ranks int, opts Options) (res *
 	}()
 	q, err := Parse(queryText)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	x := query.NewExec(q, opts.scan(), mode, aq)
+	x = query.NewExec(q, opts.scan(), mode, aq)
 	if mode == query.MPI {
 		world, err := mpi.NewWorld(ranks)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		pr, err := pquery.RunFiles(world, x, files)
 		if err != nil {
-			return nil, err
-		}
-		aq.Phase("local", pr.Timing.LocalWall)
-		if reduceWall := pr.Timing.TotalWall - pr.Timing.LocalWall; reduceWall > 0 {
-			aq.Phase("reduce", reduceWall)
+			return nil, nil, err
 		}
 		res = &ParallelResult{
 			Resultset:        &Resultset{Rows: pr.Rows, Reg: pr.Reg, Query: q},
@@ -226,27 +222,22 @@ func run(queryText string, files []string, jobs, ranks int, opts Options) (res *
 		}
 	} else {
 		reg := attr.NewRegistry()
-		eng, n, err := x.Local(reg, query.Input{Files: files}, jobs, 0)
+		eng, n, _, err := x.Local(reg, query.Input{Files: files}, jobs, 0)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// the shared postprocess tail (post-ops, ORDER BY, LIMIT) runs
 		// once, over the fully merged engine
-		postStart := time.Now()
 		rows, err := eng.Results()
-		aq.Phase("postprocess", time.Since(postStart))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res = &ParallelResult{
 			Resultset:        &Resultset{Rows: rows, Reg: reg, Query: q},
 			RecordsProcessed: uint64(n),
 		}
 	}
-	if st := x.Plan.Stats(); st.CacheHits+st.CacheMisses+st.CacheIncremental > 0 {
-		aq.CacheStats(uint64(st.CacheHits), uint64(st.CacheMisses), uint64(st.CacheIncremental))
-	}
-	return res, nil
+	return res, x, nil
 }
 
 // ExplainFilesOpts executes an EXPLAIN or EXPLAIN ANALYZE statement
@@ -254,11 +245,12 @@ func run(queryText string, files []string, jobs, ranks int, opts Options) (res *
 // describes — and, for ANALYZE, measures — the execution QueryFilesJobsOpt
 // (ranks == 0) or QueryFilesParallelOpt (ranks > 0) would run with the
 // same arguments. EXPLAIN resolves the plan without touching the inputs;
-// EXPLAIN ANALYZE runs the wrapped query with span tracing scoped to the
-// run and annotates each plan node with measured wall time, record
-// counts, and byte counts. The plan's index node reports the prunable
-// conditions and decode projection (or that indexing is disabled); under
-// ANALYZE it carries the measured block skip statistics.
+// EXPLAIN ANALYZE runs the wrapped query, renders its rows, and annotates
+// each plan node with the run's profile — the spans it measured, the same
+// record /debug/queries serves: wall time, record counts, byte counts.
+// The plan's index node reports the prunable conditions and decode
+// projection (or that indexing is disabled); under ANALYZE it carries the
+// measured block skip statistics and the reason of every index fallback.
 func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts Options) (string, error) {
 	q, err := Parse(queryText)
 	if err != nil {
@@ -281,20 +273,14 @@ func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts O
 		return "", err
 	}
 	if q.Explain == ExplainAnalyze {
-		// scope span collection with Mark/Since rather than Reset, so a
-		// concurrent collection (e.g. a -trace flag) keeps its spans
-		prev := trace.SetEnabled(true)
-		mark := trace.Mark()
-		res, runErr := run(q.WithoutExplain().String(), files, jobs, ranks, eopts)
-		if runErr == nil {
-			runErr = res.Render(io.Discard)
+		res, x, err := run(q.WithoutExplain().String(), files, jobs, ranks, eopts)
+		if err == nil {
+			err = x.Write(io.Discard, res.Reg, res.Rows)
 		}
-		spans := trace.Since(mark)
-		trace.SetEnabled(prev)
-		if runErr != nil {
-			return "", runErr
+		if err != nil {
+			return "", err
 		}
-		plan.Annotate(spans)
+		plan.Annotate(x.Prof.Phases())
 	}
 	var sb strings.Builder
 	if err := plan.Write(&sb); err != nil {

@@ -168,7 +168,7 @@ func TestQueryFilesErrors(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, m := range modes {
 		for _, c := range cases {
-			_, err := run(c.query, c.files, m.jobs, m.ranks, Options{})
+			_, _, err := run(c.query, c.files, m.jobs, m.ranks, Options{})
 			if err == nil {
 				t.Errorf("%s, %s: no error", m.name, c.name)
 			} else if !strings.Contains(err.Error(), c.wantInErr) {

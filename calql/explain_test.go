@@ -1,11 +1,16 @@
 package calql
 
 import (
+	"fmt"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"caligo/internal/obs"
+	"caligo/internal/telemetry"
 	"caligo/internal/trace"
 )
 
@@ -100,5 +105,123 @@ func TestExplainFilesRestoresTracingState(t *testing.T) {
 	}
 	if trace.Enabled() {
 		t.Error("EXPLAIN ANALYZE left span tracing enabled")
+	}
+}
+
+// analyzed matches an EXPLAIN ANALYZE plan node and its measurement line.
+var analyzed = regexp.MustCompile(`-> (\w+) .*\n\s+(spans=\d+ time=\S+)(.*)`)
+
+// TestAnalyzeAndQueryStatsShareOneRecord: EXPLAIN ANALYZE and the run's
+// /debug/queries record show the same measurements, to the nanosecond,
+// because both read the run's profile — the phase spans timed once — and
+// so does pquery.Timing. With telemetry on, the query ID tags spans without
+// turning into a summed plan stat or costing the shard span an argument.
+func TestAnalyzeAndQueryStatsShareOneRecord(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
+	files := explainDataset(t, 4)
+	record := func(text string) obs.QueryStats {
+		t.Helper()
+		for _, s := range obs.QuerySnapshot() { // newest first
+			if s.Text == text && s.Done {
+				return s
+			}
+		}
+		t.Fatalf("no /debug/queries record of %q", text)
+		return obs.QueryStats{}
+	}
+	for i, m := range []struct {
+		name        string
+		ranks, jobs int
+	}{{"serial", 0, 1}, {"sharded", 0, 3}, {"mpi", 4, 1}} {
+		// a LIMIT of its own makes each mode's record findable by its text
+		q := MustParse(fmt.Sprintf("EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel LIMIT %d", 100+i))
+		out, err := ExplainFilesOpts(q.String(), files, m.ranks, m.jobs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shown := map[string]string{}
+		for _, n := range analyzed.FindAllStringSubmatch(out, -1) {
+			shown[n[1]] = n[2]
+			if strings.Contains(n[3], "qid=") {
+				t.Errorf("%s: the query ID was summed into the %s node: %s", m.name, n[1], n[3])
+			}
+		}
+		rec := record(q.WithoutExplain().String())
+		compared := 0
+		for _, ph := range rec.Phases {
+			got, ok := shown[ph.Name]
+			if !ok {
+				continue // pquery.run has no plan node
+			}
+			if want := fmt.Sprintf("spans=%d time=%v", ph.Spans, time.Duration(ph.NS)); got != want {
+				t.Errorf("%s: plan node %s shows %q, /debug/queries %q", m.name, ph.Name, got, want)
+			}
+			compared++
+		}
+		if compared < 4 {
+			t.Errorf("%s: only %d phases in common between the plan and %+v:\n%s", m.name, compared, rec.Phases, out)
+		}
+		if m.name == "sharded" {
+			if rec.Shards != 3 {
+				t.Errorf("sharded record has %d shards, want 3", rec.Shards)
+			}
+			if !regexp.MustCompile(`-> shard .*\n.* bytes=\d+`).MatchString(out) {
+				t.Errorf("shard node lost its bytes stat under telemetry:\n%s", out)
+			}
+		}
+	}
+
+	res, err := QueryFilesParallelOpt("AGGREGATE count GROUP BY kernel LIMIT 99", files, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := record(MustParse("AGGREGATE count GROUP BY kernel LIMIT 99").String())
+	for _, ph := range rec.Phases {
+		if ph.Name == "run" && time.Duration(ph.NS) != res.Timing.TotalWall {
+			t.Errorf("TotalWall %v, the record's run phase %v", res.Timing.TotalWall, time.Duration(ph.NS))
+		}
+		if ph.Name == "aggregate" && time.Duration(ph.MaxNS) != res.Timing.LocalWall {
+			t.Errorf("LocalWall %v, the record's slowest local phase %v", res.Timing.LocalWall, time.Duration(ph.MaxNS))
+		}
+	}
+	if res.Timing.TotalWall <= 0 || res.Timing.LocalWall <= 0 || res.Timing.LocalWall > res.Timing.TotalWall {
+		t.Errorf("timing = %+v, want 0 < LocalWall <= TotalWall", res.Timing)
+	}
+}
+
+// TestConcurrentExplainAnalyze: every EXPLAIN ANALYZE annotates its plan
+// from its own run's profile, so concurrent runs count exactly their own
+// spans (they used to read each other's out of the process-wide trace
+// ring), and none turns process-wide span tracing on.
+func TestConcurrentExplainAnalyze(t *testing.T) {
+	prev := trace.SetEnabled(false)
+	t.Cleanup(func() { trace.SetEnabled(prev) })
+	files := explainDataset(t, 4)
+	before := trace.Len()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < cap(errs); i++ {
+		ranks := 4 * (i % 2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := ExplainFilesOpts("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", files, ranks, 1, Options{})
+			if err != nil {
+				errs <- err
+				return
+			}
+			want := fmt.Sprint(max(ranks, 1))
+			if m := regexp.MustCompile(`-> read\s+\S.*\n\s+spans=(\d+)`).FindStringSubmatch(out); m == nil || m[1] != want {
+				errs <- fmt.Errorf("%d ranks: read node %v, want spans=%s:\n%s", ranks, m, want, out)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := trace.Len() - before; n != 0 {
+		t.Errorf("EXPLAIN ANALYZE put %d spans into the trace ring with tracing off", n)
 	}
 }

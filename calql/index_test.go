@@ -1,6 +1,7 @@
 package calql
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -119,5 +120,41 @@ func TestIndexSmokeExplain(t *testing.T) {
 	}
 	if !strings.Contains(out, "disabled (full scan)") {
 		t.Errorf("EXPLAIN with NoIndex should report the index disabled:\n%s", out)
+	}
+}
+
+// TestExplainNamesIndexFallbacks: a sidecar index that cannot be used
+// falls back to a full scan, and EXPLAIN ANALYZE's index node says why —
+// the data file changed (stale), the sidecar is damaged (corrupt), or it
+// was written by another index version.
+func TestExplainNamesIndexFallbacks(t *testing.T) {
+	files := indexedFiles(t, 4)
+	appendDataset(t, files[0], 0, 2) // stale
+	idx := calformat.IndexPath(files[1])
+	b, err := os.ReadFile(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x40 // corrupt
+	if err := os.WriteFile(idx, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := calformat.ReadIndexFile(calformat.IndexPath(files[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Version = calformat.IndexVersion + 1
+	if err := calformat.WriteIndexFile(files[2], old); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := ExplainFilesOpts("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", files, 0, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"fallbacks=3", "fallback_stale=1", "fallback_corrupt=1", "fallback_version=1", "indexed=1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("EXPLAIN ANALYZE index node missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"caligo/internal/obs"
 	"caligo/internal/obs/history"
 	"caligo/internal/telemetry"
+	"caligo/internal/trace"
 )
 
 // scrapeAt builds a scrapeState from an OpenMetrics exposition at a fixed
@@ -115,9 +116,13 @@ func TestCaliTopOnce(t *testing.T) {
 
 	// a finished query so the table is non-empty
 	aq := obs.BeginQuery("AGGREGATE count GROUP BY kernel", "sharded")
-	aq.ShardDone(5*time.Millisecond, 1000, 50000)
-	aq.ShardDone(7*time.Millisecond, 1200, 60000)
-	aq.Phase("merge", time.Millisecond)
+	var prof trace.Profile
+	aq.SetPhases(&prof)
+	for _, name := range []string{"query.shard", "query.shard", "query.merge"} {
+		sp := prof.Begin(name, 0)
+		sp.ArgInt("records", 1100)
+		sp.End()
+	}
 	aq.SetRows(12)
 	aq.End(nil)
 

@@ -9,18 +9,22 @@ import (
 	"time"
 
 	"caligo/internal/telemetry"
+	"caligo/internal/trace"
 )
 
 // Per-query attribution: every calql/pquery run gets a process-unique
 // query ID, threaded through shard workers and trace spans, and its
 // wall time, record/byte throughput, heap allocation, phase breakdown,
 // and shard skew are accounted into a bounded most-recent table served
-// at /debug/queries. Queries slower than a configurable threshold also
-// emit a structured slow-query log entry carrying the full CalQL text —
-// the "which query is slow and why" answer without re-running anything
-// under EXPLAIN ANALYZE. The design follows the lightweight per-target
-// attribution approach of Atys (Sun et al. 2025): cheap always-on
-// bookkeeping at query granularity, detail on demand.
+// at /debug/queries. The phase breakdown is not measured here: it is read
+// from the query's trace.Profile — the record its executor's spans end
+// into, the same one EXPLAIN ANALYZE prints — live while the query runs.
+// Queries slower than a configurable threshold also emit a structured
+// slow-query log entry carrying the full CalQL text — the "which query is
+// slow and why" answer without re-running anything under EXPLAIN ANALYZE.
+// The design follows the lightweight per-target attribution approach of
+// Atys (Sun et al. 2025): cheap always-on bookkeeping at query
+// granularity, detail on demand.
 //
 // Attribution follows the telemetry kill switch: with telemetry off,
 // BeginQuery returns nil and every ActiveQuery method is a nil-receiver
@@ -37,11 +41,14 @@ var (
 	gActiveQueries  = telemetry.NewGauge("caligo.query.active")
 )
 
-// PhaseTiming is one named execution phase of a query.
-type PhaseTiming struct {
-	Name string `json:"name"`
-	NS   int64  `json:"ns"`
-}
+// PhaseTiming is one execution phase of a query as its spans measured it:
+// the EXPLAIN ANALYZE plan node of the same name, with span count, summed
+// and extreme span time, and summed span arguments.
+type PhaseTiming = trace.Phase
+
+// PhaseSource is what an attribution record reads its phases from: the
+// query's trace.Profile.
+type PhaseSource interface{ Phases() []PhaseTiming }
 
 // QueryStats is the attribution record of one query run.
 type QueryStats struct {
@@ -54,11 +61,12 @@ type QueryStats struct {
 	Bytes      uint64        `json:"bytes"`
 	AllocBytes uint64        `json:"alloc_bytes"` // heap allocated during the run (process-wide delta)
 	Rows       int           `json:"rows"`
-	Shards     int           `json:"shards,omitempty"`
+	Shards     int           `json:"shards,omitempty"`     // spans of the shard phase
 	ShardSkew  float64       `json:"shard_skew,omitempty"` // (max-min)/max shard wall time
 	Phases     []PhaseTiming `json:"phases,omitempty"`
 
-	// Aggregate-cache outcome per input file (zero when caching was off).
+	// Aggregate-cache outcome per input file (zero when caching was off):
+	// the hits, misses and incremental stats of the cache phase.
 	CacheHits        uint64 `json:"cache_hits,omitempty"`
 	CacheMisses      uint64 `json:"cache_misses,omitempty"`
 	CacheIncremental uint64 `json:"cache_incremental,omitempty"`
@@ -111,7 +119,7 @@ type ActiveQuery struct {
 	mu         sync.Mutex
 	stats      QueryStats
 	startAlloc uint64
-	shardNS    []int64
+	phases     PhaseSource
 }
 
 // BeginQuery opens an attribution record for a query run. Returns nil
@@ -145,67 +153,51 @@ func (aq *ActiveQuery) ID() uint64 {
 	return aq.stats.ID
 }
 
-// AddRecords accounts n input records.
-func (aq *ActiveQuery) AddRecords(n uint64) {
+// SetPhases attaches the query's phase record: snapshots read the phases
+// from it while the query runs, and End keeps its final state. The input
+// records and bytes are the read and shard phases' stats, the shard count
+// and skew derive from the shard phase, the cache outcome from the cache
+// phase.
+func (aq *ActiveQuery) SetPhases(src PhaseSource) {
 	if aq == nil {
 		return
 	}
 	aq.mu.Lock()
-	aq.stats.Records += n
+	aq.phases = src
 	aq.mu.Unlock()
 }
 
-// AddBytes accounts n input bytes.
-func (aq *ActiveQuery) AddBytes(n uint64) {
-	if aq == nil {
-		return
+// snapshot returns the record as of now with its phases read from the
+// source. aq.mu is held.
+func (aq *ActiveQuery) snapshot() QueryStats {
+	s := aq.stats
+	if aq.phases == nil {
+		return s
 	}
-	aq.mu.Lock()
-	aq.stats.Bytes += n
-	aq.mu.Unlock()
-}
-
-// Phase records one named phase's duration. Repeated names accumulate.
-func (aq *ActiveQuery) Phase(name string, d time.Duration) {
-	if aq == nil {
-		return
-	}
-	aq.mu.Lock()
-	defer aq.mu.Unlock()
-	for i := range aq.stats.Phases {
-		if aq.stats.Phases[i].Name == name {
-			aq.stats.Phases[i].NS += d.Nanoseconds()
-			return
+	s.Phases = aq.phases.Phases()
+	for _, p := range s.Phases {
+		if p.Name == "shard" && p.MaxNS > 0 {
+			s.Shards = p.Spans
+			s.ShardSkew = float64(p.MaxNS-p.MinNS) / float64(p.MaxNS)
+		}
+		scans := p.Name == "read" || p.Name == "shard"
+		for _, st := range p.Stats {
+			v := uint64(st.Value)
+			switch {
+			case scans && st.Name == "records":
+				s.Records += v
+			case scans && st.Name == "bytes":
+				s.Bytes += v
+			case p.Name == "cache" && st.Name == "hits":
+				s.CacheHits = v
+			case p.Name == "cache" && st.Name == "misses":
+				s.CacheMisses = v
+			case p.Name == "cache" && st.Name == "incremental":
+				s.CacheIncremental = v
+			}
 		}
 	}
-	aq.stats.Phases = append(aq.stats.Phases, PhaseTiming{Name: name, NS: d.Nanoseconds()})
-}
-
-// ShardDone records one shard worker's wall time and throughput; shard
-// skew is derived at End.
-func (aq *ActiveQuery) ShardDone(d time.Duration, records, bytes uint64) {
-	if aq == nil {
-		return
-	}
-	aq.mu.Lock()
-	aq.stats.Shards++
-	aq.stats.Records += records
-	aq.stats.Bytes += bytes
-	aq.shardNS = append(aq.shardNS, d.Nanoseconds())
-	aq.mu.Unlock()
-}
-
-// CacheStats records the query's aggregate-cache outcome counts
-// (per-file hits, misses, and append-incremental scans).
-func (aq *ActiveQuery) CacheStats(hits, misses, incremental uint64) {
-	if aq == nil {
-		return
-	}
-	aq.mu.Lock()
-	aq.stats.CacheHits += hits
-	aq.stats.CacheMisses += misses
-	aq.stats.CacheIncremental += incremental
-	aq.mu.Unlock()
+	return s
 }
 
 // SetRows records the result row count.
@@ -218,44 +210,29 @@ func (aq *ActiveQuery) SetRows(n int) {
 	aq.mu.Unlock()
 }
 
-// End closes the attribution record: computes duration, allocation
-// delta, and shard skew; feeds the caligo.query.* aggregate metrics;
-// moves the record into the bounded finished table; and emits the
-// slow-query log entry (or an error entry when err != nil). End is
-// idempotent-unsafe by design — call it exactly once, typically
+// End closes the attribution record: reads its phases one last time and
+// computes duration and allocation delta; feeds the caligo.query.*
+// aggregate metrics; moves the record into the bounded finished table;
+// and emits the slow-query log entry (or an error entry when err != nil).
+// End is idempotent-unsafe by design — call it exactly once, typically
 // deferred.
 func (aq *ActiveQuery) End(err error) {
 	if aq == nil {
 		return
 	}
 	aq.mu.Lock()
-	s := &aq.stats
-	s.DurationNS = time.Since(s.Start).Nanoseconds()
+	final := aq.snapshot()
+	aq.mu.Unlock()
+	final.DurationNS = time.Since(final.Start).Nanoseconds()
 	if alloc := heapAllocBytes(); alloc >= aq.startAlloc {
-		s.AllocBytes = alloc - aq.startAlloc
-	}
-	if len(aq.shardNS) > 0 {
-		min, max := aq.shardNS[0], aq.shardNS[0]
-		for _, ns := range aq.shardNS[1:] {
-			if ns < min {
-				min = ns
-			}
-			if ns > max {
-				max = ns
-			}
-		}
-		if max > 0 {
-			s.ShardSkew = float64(max-min) / float64(max)
-		}
+		final.AllocBytes = alloc - aq.startAlloc
 	}
 	if err != nil {
-		s.Err = err.Error()
+		final.Err = err.Error()
 	}
 	threshold := slowThresholdNS.Load()
-	s.Slow = threshold > 0 && s.DurationNS >= threshold
-	s.Done = true
-	final := cloneStats(s)
-	aq.mu.Unlock()
+	final.Slow = threshold > 0 && final.DurationNS >= threshold
+	final.Done = true
 
 	telQueries.Inc()
 	telQueryNS.Observe(final.DurationNS)
@@ -308,14 +285,6 @@ func (aq *ActiveQuery) End(err error) {
 	}
 }
 
-// cloneStats deep-copies the phases slice so the finished record is
-// immutable.
-func cloneStats(s *QueryStats) QueryStats {
-	out := *s
-	out.Phases = append([]PhaseTiming(nil), s.Phases...)
-	return out
-}
-
 // QuerySnapshot returns the attribution table: currently-running queries
 // first (oldest first), then finished queries newest-first.
 func QuerySnapshot() []QueryStats {
@@ -324,9 +293,9 @@ func QuerySnapshot() []QueryStats {
 	out := make([]QueryStats, 0, len(qlog.active)+len(qlog.done))
 	for _, aq := range qlog.active {
 		aq.mu.Lock()
-		s := cloneStats(&aq.stats)
-		s.DurationNS = time.Since(s.Start).Nanoseconds()
+		s := aq.snapshot()
 		aq.mu.Unlock()
+		s.DurationNS = time.Since(s.Start).Nanoseconds()
 		out = append(out, s)
 	}
 	// active queries sorted oldest first (stable order for the monitor)

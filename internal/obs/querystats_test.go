@@ -10,7 +10,13 @@ import (
 	"time"
 
 	"caligo/internal/telemetry"
+	"caligo/internal/trace"
 )
+
+// fixedPhases is a PhaseSource with given measurements.
+type fixedPhases []PhaseTiming
+
+func (f fixedPhases) Phases() []PhaseTiming { return f }
 
 func withQueryStats(t *testing.T) {
 	t.Helper()
@@ -27,10 +33,7 @@ func TestBeginQueryDisabled(t *testing.T) {
 	}
 	// nil-receiver methods are no-ops
 	var aq *ActiveQuery
-	aq.AddRecords(1)
-	aq.AddBytes(1)
-	aq.Phase("read", time.Millisecond)
-	aq.ShardDone(time.Millisecond, 1, 1)
+	aq.SetPhases(fixedPhases(nil))
 	aq.SetRows(1)
 	aq.End(nil)
 	if aq.ID() != 0 {
@@ -47,11 +50,14 @@ func TestQueryAttribution(t *testing.T) {
 	if aq.ID() == 0 {
 		t.Error("query ID is 0")
 	}
-	aq.ShardDone(10*time.Millisecond, 100, 5000)
-	aq.ShardDone(40*time.Millisecond, 300, 15000)
-	aq.Phase("merge", 2*time.Millisecond)
-	aq.Phase("postprocess", time.Millisecond)
-	aq.Phase("merge", time.Millisecond) // accumulates
+	// the phases come from the query's profile, as its executor's spans
+	// summed them: two shards of 10 and 40 ms, three merges
+	aq.SetPhases(fixedPhases{
+		{Name: "shard", Spans: 2, NS: 50e6, MinNS: 10e6, MaxNS: 40e6,
+			Stats: []trace.Stat{{Name: "records", Value: 400}, {Name: "bytes", Value: 20000}}},
+		{Name: "merge", Spans: 3, NS: 3e6, MinNS: 0.5e6, MaxNS: 2e6},
+		{Name: "postprocess", Spans: 1, NS: 1e6, MinNS: 1e6, MaxNS: 1e6},
+	})
 	aq.SetRows(7)
 	aq.End(nil)
 
@@ -89,8 +95,11 @@ func TestSlowQueryLogEntry(t *testing.T) {
 	defer SetSlowQueryThreshold(prev)
 
 	aq := BeginQuery("AGGREGATE sum(time.duration) GROUP BY function", "serial")
-	aq.Phase("read+aggregate", 5*time.Millisecond)
+	var prof trace.Profile
+	aq.SetPhases(&prof)
+	sp := prof.Begin("query.read", 0)
 	time.Sleep(time.Millisecond)
+	sp.End()
 	aq.End(nil)
 
 	var buf bytes.Buffer
@@ -115,7 +124,7 @@ func TestSlowQueryLogEntry(t *testing.T) {
 	if entry["calql"] != "AGGREGATE sum(time.duration) GROUP BY function" {
 		t.Errorf("slow entry lost the CalQL text: %v", entry["calql"])
 	}
-	if _, ok := entry["phase.read+aggregate.ns"]; !ok {
+	if ns, ok := entry["phase.read.ns"].(float64); !ok || ns < float64(time.Millisecond) {
 		t.Errorf("slow entry missing phase breakdown: %v", entry)
 	}
 	// and the stats record is marked slow
@@ -217,8 +226,13 @@ func TestQueryStatsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				aq := BeginQuery("CONCURRENT", "sharded")
-				aq.ShardDone(time.Microsecond, 10, 100)
-				aq.ShardDone(2*time.Microsecond, 10, 100)
+				var prof trace.Profile
+				aq.SetPhases(&prof)
+				for w := 0; w < 2; w++ {
+					sp := prof.Begin("query.shard", 0)
+					sp.ArgInt("records", 10)
+					sp.End()
+				}
 				aq.End(nil)
 			}
 		}()

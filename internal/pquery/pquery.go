@@ -45,10 +45,11 @@ var (
 // to read and process process-local input, the time for the tree-based
 // cross-process reduction, and the total. Virtual times come from the MPI
 // cost model and reflect the emulated network; wall times are host
-// measurements.
+// measurements, read from the query's profile (query.Exec.Prof) — the
+// spans EXPLAIN ANALYZE and /debug/queries report, not a clock of their own.
 type Timing struct {
-	LocalWall  time.Duration // rank 0's local read+process time
-	TotalWall  time.Duration // wall time of the whole job
+	LocalWall  time.Duration // the slowest rank's local read+process phase (its pquery.aggregate span)
+	TotalWall  time.Duration // the whole job (the pquery.run span)
 	LocalVirt  float64       // ns, rank 0 local phase on the virtual clock
 	ReduceVirt float64       // ns, reduction phase on the virtual clock
 	TotalVirt  float64       // ns, LocalVirt + ReduceVirt
@@ -126,7 +127,7 @@ func run(world *mpi.World, x *query.Exec, fanin int, input func(rank int) (query
 		fanin = defaultFanin
 	}
 	var result *Result
-	start := time.Now()
+	sp := x.Span("pquery.run", 0)
 	err := world.Run(func(c *mpi.Comm) error {
 		res, err := runRank(c, x, fanin, input)
 		if c.Rank() == 0 {
@@ -134,20 +135,27 @@ func run(world *mpi.World, x *query.Exec, fanin int, input func(rank int) (query
 		}
 		return err
 	})
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	if result == nil {
 		return nil, fmt.Errorf("pquery: no result produced at root")
 	}
-	result.Timing.TotalWall = time.Since(start)
+	for _, ph := range x.Prof.Phases() {
+		switch ph.Name {
+		case "run":
+			result.Timing.TotalWall = time.Duration(ph.NS)
+		case "aggregate":
+			result.Timing.LocalWall = time.Duration(ph.MaxNS)
+		}
+	}
 	return result, nil
 }
 
 // runRank is the per-rank program: the executor's local phase over the
 // rank's input, then the tree reduce.
 func runRank(c *mpi.Comm, x *query.Exec, fanin int, input func(rank int) (query.Input, error)) (*Result, error) {
-	localStart := time.Now()
 	in, err := input(c.Rank())
 	if err != nil {
 		return nil, fmt.Errorf("rank %d: open input: %w", c.Rank(), err)
@@ -155,11 +163,10 @@ func runRank(c *mpi.Comm, x *query.Exec, fanin int, input func(rank int) (query.
 	// Each rank has its own registry — per-process address spaces, as in
 	// the real tool.
 	reg := attr.NewRegistry()
-	eng, n, err := x.Local(reg, in, 1, c.Rank())
+	eng, n, localWall, err := x.Local(reg, in, 1, c.Rank())
 	if err != nil {
 		return nil, fmt.Errorf("rank %d: read input: %w", c.Rank(), err)
 	}
-	localWall := time.Since(localStart)
 	processed := uint64(n)
 	telRecords.Add(processed)
 	telLocalNS.Observe(localWall.Nanoseconds())
@@ -178,9 +185,8 @@ func runRank(c *mpi.Comm, x *query.Exec, fanin int, input func(rank int) (query.
 		return nil, err
 	}
 	if res != nil {
-		res.Rows = query.Finalize(x.Q, res.Reg, res.Rows)
+		res.Rows = x.Finalize(res.Reg, res.Rows)
 		res.Timing = Timing{
-			LocalWall:  localWall,
 			LocalVirt:  localVirt,
 			ReduceVirt: c.Clock() - localVirt,
 			TotalVirt:  c.Clock(),
@@ -222,9 +228,8 @@ func decodePayload(b []byte) (state []byte, processed uint64, err error) {
 // and the record count summed over the ranks; on the other ranks, nil.
 func reduceAggregated(c *mpi.Comm, x *query.Exec, eng *query.Engine, reg *attr.Registry, fanin int, processed uint64) (*Result, error) {
 	db := eng.DB()
-	reduceStart := time.Now()
 	sp := x.Span("pquery.reduce", c.Rank())
-	defer sp.End()
+	defer func() { telReduceNS.Observe(sp.End()) }()
 	err := c.ReduceFold(0, fanin, func(got []byte) error {
 		state, n, err := decodePayload(got)
 		if err != nil {
@@ -243,12 +248,8 @@ func reduceAggregated(c *mpi.Comm, x *query.Exec, eng *query.Engine, reg *attr.R
 		sp.ArgInt("bytes", int64(len(payload)))
 		return payload
 	})
-	if err != nil {
+	if err != nil || c.Rank() != 0 {
 		return nil, err
-	}
-	telReduceNS.Observe(time.Since(reduceStart).Nanoseconds())
-	if c.Rank() != 0 {
-		return nil, nil
 	}
 	rows, err := db.FlushRecords()
 	if err != nil {

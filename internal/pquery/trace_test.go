@@ -40,17 +40,17 @@ func TestTracingOnOffEquivalence(t *testing.T) {
 	t.Cleanup(func() { trace.SetEnabled(prev) })
 
 	// disabled run: no spans may appear
-	offMark := trace.Mark()
+	trace.Reset()
 	offRows := runRows(t, queryText, ranks, records)
-	if n := len(trace.Since(offMark)); n != 0 {
+	if n := trace.Len(); n != 0 {
 		t.Errorf("disabled run recorded %d spans, want 0", n)
 	}
 
 	// enabled run: same rows, plus read/aggregate/reduce spans per rank
 	trace.SetEnabled(true)
-	onMark := trace.Mark()
+	trace.Reset()
 	onRows := runRows(t, queryText, ranks, records)
-	spans := trace.Since(onMark)
+	spans := trace.Snapshot()
 	trace.SetEnabled(false)
 
 	if len(onRows) != len(offRows) {

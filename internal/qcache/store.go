@@ -95,27 +95,37 @@ func (s *Store) entryPath(plan, file string) string {
 // A corrupt or mismatched entry is removed and counted as a fallback;
 // a hit refreshes the entry's mtime so eviction stays LRU.
 func (s *Store) Lookup(plan, file string) *Entry {
+	e, _ := s.Get(plan, file)
+	return e
+}
+
+// Get is Lookup that also says why it rejected an entry it found: the
+// error wraps ErrCorrupt or ErrVersion (nil for a hit or a plain miss).
+func (s *Store) Get(plan, file string) (*Entry, error) {
 	abs, err := filepath.Abs(file)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	p := s.entryPath(plan, abs)
 	data, err := os.ReadFile(p)
 	if err != nil {
-		return nil // not cached (or unreadable — treat the same)
+		return nil, nil // not cached (or unreadable — treat the same)
 	}
 	e, err := DecodeEntry(data)
-	if err != nil || e.Plan != plan || e.File != abs {
+	if err == nil && (e.Plan != plan || e.File != abs) {
+		err = fmt.Errorf("%w: entry for another plan or file", ErrCorrupt)
+	}
+	if err != nil {
 		// Corrupt, version-skewed, or a filename-hash collision: drop it
 		// so the slot can be rebuilt, and fall back to a full scan.
 		TelFallback.Inc()
 		os.Remove(p)
 		s.forget(int64(len(data)))
-		return nil
+		return nil, err
 	}
 	now := time.Now()
 	os.Chtimes(p, now, now)
-	return e
+	return e, nil
 }
 
 // Put stores an entry, replacing any prior state for its key, and

@@ -21,10 +21,14 @@ package query
 // engine, so grouping is identical warm and cold — the same argument
 // that makes sharded execution byte-identical to serial. Every
 // validation failure (state blob undecodable, replay desync, file
-// changed mid-scan) degrades to a full scan of the file and bumps
-// caligo.qcache.fallback; the query answer is never wrong, only slower.
+// changed mid-scan) degrades to a full scan of the file, bumps
+// caligo.qcache.fallback and counts its reason on the query profile's
+// cache phase (fallback_stale, _corrupt, _version, _replay — EXPLAIN
+// ANALYZE and /debug/queries show them); the query answer is never wrong,
+// only slower.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
@@ -33,7 +37,6 @@ import (
 	"caligo/internal/contexttree"
 	"caligo/internal/qcache"
 	"caligo/internal/snapshot"
-	"caligo/internal/trace"
 )
 
 // Unit cache routing modes.
@@ -49,12 +52,14 @@ const (
 // incremental scan then text-scans the prefix rather than seeking).
 const maxMetaSpans = 64
 
-// noteCacheFallback records one degraded cache path.
-func (p *ScanPlan) noteCacheFallback() {
+// noteCacheFallback records one degraded cache path and why: reason is
+// the cache phase stat that counts it.
+func (p *ScanPlan) noteCacheFallback(reason string) {
 	qcache.TelFallback.Inc()
 	p.mu.Lock()
 	p.stats.CacheFallbacks++
 	p.mu.Unlock()
+	p.prof.Add("cache", reason, 1)
 }
 
 // planCache classifies one input file against the cache: hit (entry
@@ -62,7 +67,13 @@ func (p *ScanPlan) noteCacheFallback() {
 // prefix is intact), or miss. cacheNone means the file could not be
 // opened; the scan will surface the real error.
 func (p *ScanPlan) planCache(file string) (int, *qcache.Entry) {
-	e := p.cache.Lookup(p.cachePlan, file)
+	e, err := p.cache.Get(p.cachePlan, file)
+	switch {
+	case errors.Is(err, qcache.ErrVersion): // the store counted the fallback
+		p.prof.Add("cache", "fallback_version", 1)
+	case err != nil:
+		p.prof.Add("cache", "fallback_corrupt", 1)
+	}
 	if e == nil {
 		return cacheMissMode, nil
 	}
@@ -75,7 +86,7 @@ func (p *ScanPlan) planCache(file string) (int, *qcache.Entry) {
 	case err != nil || id == calformat.Changed || e.Watermark <= 0:
 		// truncated, rewritten, or changed in place under the covered
 		// prefix since stored: stale
-		p.noteCacheFallback()
+		p.noteCacheFallback("fallback_stale")
 		return cacheMissMode, nil
 	case id == calformat.Same:
 		return cacheHitMode, e
@@ -97,7 +108,7 @@ func (p *ScanPlan) seeded(eng *Engine, u Unit, reg *attr.Registry) *Engine {
 		err = fmt.Errorf("query: cache entry on non-aggregating engine")
 	}
 	if err != nil {
-		p.noteCacheFallback()
+		p.noteCacheFallback("fallback_corrupt")
 		return nil
 	}
 	return priv
@@ -109,9 +120,7 @@ func (p *ScanPlan) noteBytesSkipped(n int64) {
 	p.stats.CacheBytesSkipped += n
 	p.mu.Unlock()
 	qcache.TelBytesSkipped.Add(uint64(n))
-	sp := trace.Begin("query.cache")
-	sp.ArgInt("bytes_skipped", n)
-	sp.End()
+	p.prof.Add("cache", "bytes_skipped", n)
 }
 
 // scanCacheHit serves a unit entirely from cached state.
@@ -184,7 +193,7 @@ func (p *ScanPlan) scanCacheIncr(eng *Engine, u Unit, reg *attr.Registry, tree *
 		return nil
 	}()
 	if replayErr != nil {
-		p.noteCacheFallback()
+		p.noteCacheFallback("fallback_replay")
 		return p.scanCacheMiss(eng, u, reg, tree)
 	}
 	metaBefore := rd.MetaLines()
@@ -240,14 +249,14 @@ func (p *ScanPlan) putEntry(file string, priv *Engine, endOff int64, records uin
 		MetaSpans:  spans,
 		State:      priv.db.EncodeState(),
 	}
-	if p.cache.Put(e) == nil {
-		p.mu.Lock()
-		p.stats.CacheStores++
-		p.mu.Unlock()
-		sp := trace.Begin("query.cache")
-		sp.ArgInt("stores", 1)
-		sp.End()
+	if p.cache.Put(e) != nil {
+		p.prof.Add("cache", "store_errors", 1) // e.g. an unwritable cache directory
+		return
 	}
+	p.mu.Lock()
+	p.stats.CacheStores++
+	p.mu.Unlock()
+	p.prof.Add("cache", "stores", 1)
 }
 
 // metaSpansOf derives the metadata span list of a freshly scanned file

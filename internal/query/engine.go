@@ -37,6 +37,10 @@ type Engine struct {
 	// per unit (see reader): a scan worker has one engine, so it grows one
 	// node arena and scan buffer for all of its files.
 	rd *calformat.Reader
+
+	// prof is the query profile the engine's reduce, postprocess and
+	// format spans end into (nil: trace spans only).
+	prof *trace.Profile
 }
 
 // readerPool holds the readers finished scan workers hand back: an
@@ -300,7 +304,7 @@ func (e *Engine) Results() ([]snapshot.FlatRecord, error) {
 	// the reduce span covers turning accumulated state into result rows;
 	// non-aggregating queries pass their collected rows through, which is
 	// still the pipeline's reduce position (mode arg tells them apart)
-	sp := trace.Begin("query.reduce")
+	sp := e.prof.Begin("query.reduce", 0)
 	var rows []snapshot.FlatRecord
 	if e.db != nil {
 		sp.Arg("mode", "flush")
@@ -317,14 +321,14 @@ func (e *Engine) Results() ([]snapshot.FlatRecord, error) {
 	}
 	sp.ArgInt("rows", int64(len(rows)))
 	sp.End()
-	return postprocess(e.q, e.reg, rows)
+	return postprocess(e.prof, e.q, e.reg, rows)
 }
 
 // postprocess runs the shared post-aggregation tail: post-ops, ORDER BY,
 // LIMIT. One definition serves Results and Finalize so the
 // query.postprocess span means the same thing on every path.
-func postprocess(q *calql.Query, reg *attr.Registry, rows []snapshot.FlatRecord) ([]snapshot.FlatRecord, error) {
-	sp := trace.Begin("query.postprocess")
+func postprocess(prof *trace.Profile, q *calql.Query, reg *attr.Registry, rows []snapshot.FlatRecord) ([]snapshot.FlatRecord, error) {
+	sp := prof.Begin("query.postprocess", 0)
 	sp.ArgInt("rows_in", int64(len(rows)))
 	rows, err := ApplyPostOps(q, reg, rows)
 	if err != nil {
@@ -478,7 +482,11 @@ func sortRows(rows []snapshot.FlatRecord, keys []calql.OrderItem) {
 // and LIMIT clauses to result rows produced elsewhere (e.g. by the
 // parallel cross-process reduction, which aggregates outside an Engine).
 func Finalize(q *calql.Query, reg *attr.Registry, rows []snapshot.FlatRecord) []snapshot.FlatRecord {
-	if out, err := postprocess(q, reg, rows); err == nil {
+	return finalize(nil, q, reg, rows)
+}
+
+func finalize(prof *trace.Profile, q *calql.Query, reg *attr.Registry, rows []snapshot.FlatRecord) []snapshot.FlatRecord {
+	if out, err := postprocess(prof, q, reg, rows); err == nil {
 		return out
 	}
 	// lenient on post-op errors (e.g. result attribute already exists):

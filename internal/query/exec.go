@@ -40,16 +40,15 @@ var (
 // Mode is an execution mode. The modes run the same code and differ only
 // in these labels: the obs engine label, the span pair around a whole
 // local phase (aggregate nested in read, so EXPLAIN ANALYZE sees the same
-// phase structure serially and per rank), the span around each worker, and
-// the attribution phase a local phase accounts to. An empty name emits
-// nothing.
+// phase structure serially and per rank) and the span around each worker.
+// An empty name emits nothing.
 type Mode struct {
-	Engine                         string
-	read, aggregate, worker, phase string
+	Engine                  string
+	read, aggregate, worker string
 }
 
 var (
-	Serial  = &Mode{Engine: "serial", read: "query.read", aggregate: "query.aggregate", phase: "read+aggregate"}
+	Serial  = &Mode{Engine: "serial", read: "query.read", aggregate: "query.aggregate"}
 	Sharded = &Mode{Engine: "sharded", worker: "query.shard"}
 	MPI     = &Mode{Engine: "mpi", read: "pquery.read", aggregate: "pquery.aggregate"}
 )
@@ -83,31 +82,51 @@ type Input struct {
 
 // Exec is one query's execution state, shared by all of its local phases
 // (one per emulated rank, or the only one): the query, the compiled scan
-// plan whose Stats they accumulate into, the mode, and the attribution
-// record (nil when telemetry is off).
+// plan whose Stats they accumulate into, the query's profile and the mode.
 type Exec struct {
 	Q    *calql.Query
 	Plan *ScanPlan
+	// Prof is the query's one record of its phases: every phase span of
+	// the run — the executor's, the scan plan's, the engines' — ends into
+	// it, and EXPLAIN ANALYZE, the attribution record (/debug/queries) and
+	// pquery.Timing read their times from it.
+	Prof *trace.Profile
 	mode *Mode
-	aq   *obs.ActiveQuery
 }
 
-// NewExec compiles q's scan plan for a run in the given mode.
+// NewExec compiles q's scan plan for a run in the given mode and attaches
+// the run's profile to the attribution record aq (nil when telemetry is
+// off).
 func NewExec(q *calql.Query, opts ScanOptions, mode *Mode, aq *obs.ActiveQuery) *Exec {
-	return &Exec{Q: q, Plan: NewScanPlan(q, opts), mode: mode, aq: aq}
+	x := &Exec{Q: q, Plan: NewScanPlan(q, opts), Prof: &trace.Profile{QID: aq.ID()}, mode: mode}
+	x.Plan.prof = x.Prof
+	aq.SetPhases(x.Prof)
+	return x
 }
 
-// Span opens a span on rank's lane, stamped with the query ID so traces
-// correlate with the slow-query log. An empty name opens nothing.
+// Span opens a phase span on rank's lane in the query's profile. An empty
+// name opens nothing.
 func (x *Exec) Span(name string, rank int) trace.Span {
 	if name == "" {
 		return trace.Span{}
 	}
-	sp := trace.BeginRank(name, rank)
-	if qid := x.aq.ID(); qid != 0 {
-		sp.ArgInt("qid", int64(qid))
+	return x.Prof.Begin(name, rank)
+}
+
+// Finalize is the package Finalize, timed as the query's postprocess
+// phase.
+func (x *Exec) Finalize(reg *attr.Registry, rows []snapshot.FlatRecord) []snapshot.FlatRecord {
+	return finalize(x.Prof, x.Q, reg, rows)
+}
+
+// Write renders rows in the query's FORMAT, timed as its format phase.
+func (x *Exec) Write(w io.Writer, reg *attr.Registry, rows []snapshot.FlatRecord) error {
+	eng, err := New(x.Q, reg)
+	if err != nil {
+		return err
 	}
-	return sp
+	eng.prof = x.Prof
+	return eng.Write(w, rows)
 }
 
 // shard is one worker's outcome.
@@ -121,12 +140,13 @@ type shard struct {
 // Local runs one process's local phase: it scans in with up to jobs
 // workers (see Workers; fewer when index pruning drops whole files) and
 // returns the engine holding the merged result — not finalized, so the
-// caller can reduce it further or call Results — and the number of records
-// read. reg is the process's registry, shared by the workers (it is
-// mutex-protected) so attribute ids, LET definitions and result attributes
-// resolve identically across shards; rank labels the spans.
-func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int, error) {
-	start := time.Now()
+// caller can reduce it further or call Results — the number of records
+// read, and the local phase's wall time as its span measured it (0 in a
+// mode without a local-phase span). reg is the process's registry, shared
+// by the workers (it is mutex-protected) so attribute ids, LET definitions
+// and result attributes resolve identically across shards; rank labels the
+// spans.
+func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int, time.Duration, error) {
 	var rsp trace.Span
 	if in.Stream != nil || len(in.Files) > 0 {
 		// a rank with no input reads nothing, but still reports the
@@ -168,14 +188,14 @@ func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int
 	records, bytes := 0, int64(0)
 	for i := range shards {
 		if shards[i].err != nil {
-			return nil, 0, shards[i].err
+			return nil, 0, 0, shards[i].err
 		}
 		records += shards[i].records
 		bytes += shards[i].bytes
 	}
 	root := shards[0].eng
 	if err := x.fold(shards, rank); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	for _, rows := range rowsByUnit {
 		root.rows = append(root.rows, rows...)
@@ -186,14 +206,8 @@ func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int
 	rsp.ArgInt("files", int64(len(in.Files)))
 	rsp.ArgInt("records", int64(records))
 	rsp.ArgInt("bytes", bytes)
-	if x.mode != Sharded { // shard workers account their own share
-		x.aq.AddRecords(uint64(records))
-		x.aq.AddBytes(uint64(bytes))
-	}
-	if x.mode.phase != "" {
-		x.aq.Phase(x.mode.phase, time.Since(start))
-	}
-	return root, records, nil
+	wall := asp.End()
+	return root, records, time.Duration(wall), nil
 }
 
 // work is one worker: it builds a private engine and drains its
@@ -202,11 +216,11 @@ func (x *Exec) work(s *shard, w, workers int, reg *attr.Registry, rank int, unit
 	sp := x.Span(x.mode.worker, rank)
 	sp.SetTid(w)
 	defer sp.End()
-	start := time.Now()
 
 	if s.eng, s.err = New(x.Q, reg); s.err != nil {
 		return
 	}
+	s.eng.prof = x.Prof
 	defer s.eng.releaseReader()
 	nunits := 0
 	for ui := w; ui < len(units); ui += workers {
@@ -228,9 +242,6 @@ func (x *Exec) work(s *shard, w, workers int, reg *attr.Registry, rank int, unit
 	sp.ArgInt("units", int64(nunits))
 	sp.ArgInt("records", int64(s.records))
 	sp.ArgInt("bytes", s.bytes)
-	if x.mode == Sharded {
-		x.aq.ShardDone(time.Since(start), uint64(s.records), uint64(s.bytes))
-	}
 }
 
 // fold merges the workers' aggregation databases into worker 0's with a
@@ -242,7 +253,6 @@ func (x *Exec) fold(shards []shard, rank int) error {
 	if len(shards) == 1 || shards[0].eng.db == nil {
 		return nil
 	}
-	start := time.Now()
 	for stride := 1; stride < len(shards); stride *= 2 {
 		var wg sync.WaitGroup
 		for i := 0; i+stride < len(shards); i += 2 * stride {
@@ -250,7 +260,6 @@ func (x *Exec) fold(shards []shard, rank int) error {
 			go func(dst, src int) {
 				defer wg.Done()
 				sp := x.Span("query.merge", rank)
-				defer sp.End()
 				sp.ArgInt("dst", int64(dst))
 				sp.ArgInt("src", int64(src))
 				db := shards[dst].eng.db
@@ -258,13 +267,11 @@ func (x *Exec) fold(shards []shard, rank int) error {
 					shards[dst].err = fmt.Errorf("query: merge shard %d into %d: %w", src, dst, err)
 				}
 				sp.ArgInt("buckets", int64(db.Len()))
+				telMergeNS.Add(uint64(sp.End()))
 			}(i, i+stride)
 		}
 		wg.Wait()
 	}
-	mergeWall := time.Since(start)
-	telMergeNS.Add(uint64(mergeWall.Nanoseconds()))
-	x.aq.Phase("merge", mergeWall)
 	for i := range shards {
 		if shards[i].err != nil {
 			return shards[i].err

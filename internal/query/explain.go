@@ -3,7 +3,7 @@ package query
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -12,8 +12,8 @@ import (
 )
 
 // EXPLAIN support: a query's resolved execution plan as a list of phase
-// nodes matching the span names the engines emit, so EXPLAIN ANALYZE can
-// attribute measured spans back to plan nodes.
+// nodes matching the phase names of the spans the engines emit, so EXPLAIN
+// ANALYZE can attribute a run's profile (trace.Profile) to plan nodes.
 
 // PlanOptions describes the execution environment a plan is built for.
 type PlanOptions struct {
@@ -37,15 +37,12 @@ type PlanOptions struct {
 
 // PlanStat is one measured quantity attributed to a plan node, summed
 // over the node's spans (record counts, byte counts, ...).
-type PlanStat struct {
-	Name  string
-	Value int64
-}
+type PlanStat = trace.Stat
 
 // PlanNode is one phase of the resolved execution plan.
 type PlanNode struct {
-	// Phase is the pipeline phase name; trace spans whose name ends in
-	// ".<Phase>" are attributed to this node by Annotate.
+	// Phase is the pipeline phase name: the profile phase of the spans
+	// named "<layer>.<Phase>", which Annotate attributes to this node.
 	Phase string
 	// Detail describes what the phase resolved to for this query.
 	Detail string
@@ -201,53 +198,22 @@ func (p *Plan) add(phase, detail string) {
 	p.Nodes = append(p.Nodes, PlanNode{Phase: phase, Detail: detail})
 }
 
-// Annotate attributes measured spans to plan nodes: a span belongs to the
-// node whose Phase matches the suffix after the last '.' in the span name
-// (query.read and pquery.read both land on the read node). Span counts and
-// wall time are summed per node, and every integer span argument becomes a
-// summed per-node stat.
-func (p *Plan) Annotate(spans []trace.SpanData) {
-	byPhase := map[string]*PlanNode{}
-	for i := range p.Nodes {
-		byPhase[p.Nodes[i].Phase] = &p.Nodes[i]
-	}
-	stats := map[string]map[string]int64{}
-	for i := range spans {
-		d := &spans[i]
-		name := d.Name
-		if dot := strings.LastIndexByte(name, '.'); dot >= 0 {
-			name = name[dot+1:]
-		}
-		node, ok := byPhase[name]
-		if !ok {
-			continue
-		}
-		node.Spans++
-		node.TotalNS += d.Dur
-		for _, a := range d.Args() {
-			if v, isNum := a.Int64(); isNum {
-				m := stats[node.Phase]
-				if m == nil {
-					m = map[string]int64{}
-					stats[node.Phase] = m
-				}
-				m[a.Key()] += v
-			}
-		}
-	}
+// Annotate attributes a run's measured phases (trace.Profile.Phases) to
+// the plan nodes of the same name — query.read and pquery.read spans both
+// land on the read node: span count, summed wall time, and every summed
+// integer span argument as a stat, sorted by name. Phases no node names
+// (mpi.send, the whole-run pquery.run) are not shown.
+func (p *Plan) Annotate(phases []trace.Phase) {
 	for i := range p.Nodes {
 		node := &p.Nodes[i]
-		m := stats[node.Phase]
-		if len(m) == 0 {
-			continue
+		for _, ph := range phases {
+			if ph.Name != node.Phase {
+				continue
+			}
+			node.Spans, node.TotalNS = ph.Spans, ph.NS
+			node.Stats = slices.Clone(ph.Stats)
+			slices.SortFunc(node.Stats, func(a, b PlanStat) int { return strings.Compare(a.Name, b.Name) })
 		}
-		node.Stats = make([]PlanStat, 0, len(m))
-		for k, v := range m {
-			node.Stats = append(node.Stats, PlanStat{Name: k, Value: v})
-		}
-		sort.Slice(node.Stats, func(a, b int) bool {
-			return node.Stats[a].Name < node.Stats[b].Name
-		})
 	}
 }
 

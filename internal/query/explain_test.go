@@ -89,20 +89,18 @@ func TestPlanAnnotate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := trace.SetEnabled(true)
-	t.Cleanup(func() { trace.SetEnabled(prev) })
-	mark := trace.Mark()
+	var prof trace.Profile
 	for rank := 0; rank < 2; rank++ {
-		sp := trace.BeginRank("pquery.read", rank)
+		sp := prof.Begin("pquery.read", rank)
 		sp.ArgInt("records", 100)
 		sp.End()
 	}
-	sp := trace.Begin("pquery.reduce")
+	sp := prof.Begin("pquery.reduce", 0)
 	sp.ArgInt("bytes", 2048)
 	sp.End()
-	other := trace.Begin("mpi.send") // suffix matches no plan node
+	other := prof.Begin("mpi.send", 0) // phase matches no plan node
 	other.End()
-	p.Annotate(trace.Since(mark))
+	p.Annotate(prof.Phases())
 
 	byPhase := map[string]*PlanNode{}
 	for i := range p.Nodes {

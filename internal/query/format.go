@@ -12,7 +12,6 @@ import (
 	"caligo/internal/calql"
 	"caligo/internal/contexttree"
 	"caligo/internal/snapshot"
-	"caligo/internal/trace"
 )
 
 // column is one output column: the attribute label it reads and the header
@@ -96,7 +95,7 @@ func isNumericCol(rows []snapshot.FlatRecord, label string) bool {
 
 // Write renders the result rows in the query's output format.
 func (e *Engine) Write(w io.Writer, rows []snapshot.FlatRecord) error {
-	sp := trace.Begin("query.format")
+	sp := e.prof.Begin("query.format", 0)
 	if sp.Active() {
 		kind := e.q.Format.Kind
 		if kind == "" {

@@ -117,6 +117,10 @@ type ScanPlan struct {
 
 	mu    sync.Mutex
 	stats ScanStats
+
+	// prof is the query profile the plan's index spans and cache counts go
+	// to (NewExec sets it; nil: trace spans only).
+	prof *trace.Profile
 }
 
 // NewScanPlan compiles the prunable conditions and decode projection of q.
@@ -371,7 +375,7 @@ func (p *ScanPlan) PlanUnits(files []string, _ int) []Unit {
 	if len(files) == 0 {
 		return nil // nothing to plan: an emulated rank past the last file
 	}
-	sp := trace.Begin("query.index")
+	sp := p.prof.Begin("query.index", 0)
 	units := make([]Unit, 0, len(files))
 	var indexed, skipped, fallbacks int64
 	var cached [cacheMissMode + 1]int64 // files per cache routing mode
@@ -409,6 +413,7 @@ func (p *ScanPlan) PlanUnits(files []string, _ int) []Unit {
 			} else if !errors.Is(err, fs.ErrNotExist) {
 				fallbacks++
 				telIdxFallback.Inc()
+				p.prof.Add("index", indexFallback(err), 1)
 			}
 		}
 		units = append(units, u)
@@ -429,16 +434,28 @@ func (p *ScanPlan) PlanUnits(files []string, _ int) []Unit {
 	sp.ArgInt("fallbacks", fallbacks)
 	sp.End()
 	if p.cache != nil {
-		csp := trace.Begin("query.cache")
-		csp.ArgInt("hits", hits)
-		csp.ArgInt("misses", misses)
-		csp.ArgInt("incremental", incr)
-		csp.End()
+		p.prof.Add("cache", "hits", hits)
+		p.prof.Add("cache", "misses", misses)
+		p.prof.Add("cache", "incremental", incr)
 		qcache.TelHits.Add(uint64(hits))
 		qcache.TelMisses.Add(uint64(misses))
 		qcache.TelIncremental.Add(uint64(incr))
 	}
 	return units
+}
+
+// indexFallback names why a present sidecar index was unusable, as the
+// index phase stat that counts it.
+func indexFallback(err error) string {
+	switch {
+	case errors.Is(err, calformat.ErrIndexStale):
+		return "fallback_stale"
+	case errors.Is(err, calformat.ErrIndexCorrupt):
+		return "fallback_corrupt"
+	case errors.Is(err, calformat.ErrIndexVersion):
+		return "fallback_version"
+	}
+	return "fallback_unreadable"
 }
 
 // ScanUnit feeds the unit's records through the engine: pruned blocks are
@@ -506,7 +523,7 @@ func (p *ScanPlan) scanUnitInto(own, eng *Engine, u Unit, reg *attr.Registry, tr
 		return records, rd.Offset(), rd.Offset(), err
 	}
 
-	sp := trace.Begin("query.index")
+	sp := p.prof.Begin("query.index", 0)
 	defer sp.End()
 	var scanned, pruned, seeked, recsPruned, seekedBytes int64
 	records, blocks := 0, u.Idx.Blocks

@@ -68,7 +68,7 @@ func runRows(t *testing.T, queryText string, files []string, jobs int, opts Scan
 		t.Fatal(err)
 	}
 	x := NewExec(q, opts, Sharded, nil)
-	eng, _, err := x.Local(attr.NewRegistry(), Input{Files: files}, jobs, 0)
+	eng, _, _, err := x.Local(attr.NewRegistry(), Input{Files: files}, jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

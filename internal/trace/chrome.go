@@ -57,7 +57,7 @@ func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 		bw.str(strconv.Itoa(int(d.Rank)))
 		bw.str(`,"tid":`)
 		bw.str(strconv.Itoa(int(d.Tid)))
-		if args := d.Args(); len(args) > 0 {
+		if args := d.Args(); len(args) > 0 || d.QID != 0 {
 			bw.str(`,"args":{`)
 			for j, a := range args {
 				if j > 0 {
@@ -66,6 +66,13 @@ func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 				bw.str(jstr(a.Key()))
 				bw.str(":")
 				bw.str(jstr(a.Value()))
+			}
+			if d.QID != 0 {
+				if len(args) > 0 {
+					bw.str(",")
+				}
+				bw.str(`"qid":`)
+				bw.str(jstr(strconv.FormatUint(d.QID, 10)))
 			}
 			bw.str("}")
 		}
@@ -111,41 +118,19 @@ func (e *errWriter) str(s string) {
 // duration. The cali tools print it next to the telemetry report.
 func WriteReport(w io.Writer) error {
 	spans := Snapshot()
-	type agg struct {
-		count    int
-		total    int64
-		min, max int64
-	}
-	byName := map[string]*agg{}
+	var byName Profile // one "phase" per full span name
 	for i := range spans {
-		d := &spans[i]
-		a := byName[d.Name]
-		if a == nil {
-			a = &agg{min: d.Dur, max: d.Dur}
-			byName[d.Name] = a
-		}
-		a.count++
-		a.total += d.Dur
-		if d.Dur < a.min {
-			a.min = d.Dur
-		}
-		if d.Dur > a.max {
-			a.max = d.Dur
-		}
+		byName.add(spans[i].Name, spans[i].Dur, nil)
 	}
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := byName.phases
+	sort.Slice(names, func(i, j int) bool { return names[i].Name < names[j].Name })
 	if _, err := fmt.Fprintf(w, "span tracing (%d spans buffered, %d dropped, collection enabled=%v):\n",
 		len(spans), Dropped(), Enabled()); err != nil {
 		return err
 	}
-	for _, n := range names {
-		a := byName[n]
+	for _, a := range names {
 		if _, err := fmt.Fprintf(w, "  %-44s count=%-6d total=%-12v min=%-12v max=%v\n",
-			n, a.count, time.Duration(a.total), time.Duration(a.min), time.Duration(a.max)); err != nil {
+			a.Name, a.Spans, time.Duration(a.NS), time.Duration(a.MinNS), time.Duration(a.MaxNS)); err != nil {
 			return err
 		}
 	}

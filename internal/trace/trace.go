@@ -20,12 +20,14 @@
 //     and each span carries its rank id, which becomes the Chrome trace
 //     "process" lane at export.
 //
-// Collected spans surface three ways: Chrome trace-event JSON
-// (WriteTrace / caliper.WriteTrace, the -trace flag of cali-query,
-// cali-stat and cleverleaf, and the /debug/trace endpoint), the sorted
-// plain-text report (WriteReport), and CalQL's EXPLAIN ANALYZE, which
-// attributes span time back to query plan nodes. See docs/OBSERVABILITY.md
-// for the span catalogue.
+// Collected spans surface two ways: Chrome trace-event JSON (WriteTrace /
+// caliper.WriteTrace, the -trace flag of cali-query, cali-stat and
+// cleverleaf, and the /debug/trace endpoint) and the sorted plain-text
+// report (WriteReport). A query's phase spans are also opened on the
+// query's Profile, which times them whether or not the kill switch is on:
+// that per-query record is what EXPLAIN ANALYZE, /debug/queries and the
+// parallel query's wall-clock timing read. See docs/OBSERVABILITY.md for
+// the span catalogue.
 package trace
 
 import (
@@ -109,9 +111,9 @@ func formatInt(v int64) string {
 }
 
 // Span is one in-flight span. It is a value type: Begin returns it on the
-// stack and End copies the completed span into the ring buffer, so the
-// disabled path allocates nothing. A Span must End on the goroutine that
-// Began it.
+// stack and End copies the completed span into the ring buffer (and, for a
+// span opened on a Profile, folds it into the profile), so the disabled
+// path allocates nothing. A Span must End on the goroutine that Began it.
 type Span struct {
 	name  string
 	rank  int32
@@ -119,15 +121,19 @@ type Span struct {
 	start int64
 	args  [MaxArgs]Arg
 	nargs uint8
-	ok    bool
+	ok    bool     // tracing was on at Begin: End records into the ring
+	prof  *Profile // End records into this query's profile
 }
+
+// now reads the span clock: nanoseconds since the trace epoch.
+func now() int64 { return time.Since(epoch).Nanoseconds() }
 
 // Begin opens a span with rank and tid 0 (the process-local lane).
 func Begin(name string) Span {
 	if !enabled.Load() {
 		return Span{}
 	}
-	return Span{name: name, start: time.Since(epoch).Nanoseconds(), ok: true}
+	return Span{name: name, start: now(), ok: true}
 }
 
 // BeginRank opens a span tagged with an emulated MPI rank; the rank
@@ -138,27 +144,28 @@ func BeginRank(name string, rank int) Span {
 	return s
 }
 
-// Active reports whether the span is recording (tracing was enabled when
-// it began). Use it to skip work that only produces span labels.
-func (s *Span) Active() bool { return s.ok }
+// Active reports whether the span is recording — into the ring (tracing
+// was enabled when it began) or a profile. Use it to skip work that only
+// produces span labels.
+func (s *Span) Active() bool { return s.ok || s.prof != nil }
 
 // SetRank tags the span with an emulated MPI rank (Chrome trace pid).
 func (s *Span) SetRank(rank int) {
-	if s.ok {
+	if s.Active() {
 		s.rank = int32(rank)
 	}
 }
 
 // SetTid tags the span with a thread index (Chrome trace tid).
 func (s *Span) SetTid(tid int) {
-	if s.ok {
+	if s.Active() {
 		s.tid = int32(tid)
 	}
 }
 
 // Arg attaches a string attribute. At most MaxArgs attach; extras drop.
 func (s *Span) Arg(key, value string) {
-	if !s.ok || s.nargs >= MaxArgs {
+	if !s.Active() || s.nargs >= MaxArgs {
 		return
 	}
 	s.args[s.nargs] = Arg{key: key, str: value}
@@ -167,30 +174,43 @@ func (s *Span) Arg(key, value string) {
 
 // ArgInt attaches an integer attribute without formatting it.
 func (s *Span) ArgInt(key string, value int64) {
-	if !s.ok || s.nargs >= MaxArgs {
+	if !s.Active() || s.nargs >= MaxArgs {
 		return
 	}
 	s.args[s.nargs] = Arg{key: key, num: value, isNum: true}
 	s.nargs++
 }
 
-// End completes the span and records it into the ring buffer. End on a
-// zero Span (tracing disabled at Begin) is a no-op.
-func (s *Span) End() {
-	if !s.ok {
-		return
+// End completes the span and returns its length in nanoseconds: it folds
+// into the profile the span was opened on, if any, and is recorded into
+// the ring buffer if tracing was enabled at Begin — one clock reading for
+// both. End on a span that records nowhere (tracing disabled at Begin, no
+// profile) reads no clock and returns 0, as does a second End.
+func (s *Span) End() int64 {
+	if !s.Active() {
+		return 0
 	}
-	s.ok = false
-	d := SpanData{
-		Name:  s.name,
-		Rank:  s.rank,
-		Tid:   s.tid,
-		Start: s.start,
-		Dur:   time.Since(epoch).Nanoseconds() - s.start,
-		args:  s.args,
-		nargs: s.nargs,
+	dur := now() - s.start
+	if s.prof != nil {
+		s.prof.add(phaseOf(s.name), dur, s.args[:s.nargs])
 	}
-	ring.append(d)
+	if s.ok {
+		d := SpanData{
+			Name:  s.name,
+			Rank:  s.rank,
+			Tid:   s.tid,
+			Start: s.start,
+			Dur:   dur,
+			args:  s.args,
+			nargs: s.nargs,
+		}
+		if s.prof != nil {
+			d.QID = s.prof.QID
+		}
+		ring.append(d)
+	}
+	s.ok, s.prof = false, nil
+	return dur
 }
 
 // SpanData is one completed span as stored in the ring buffer.
@@ -208,6 +228,8 @@ type SpanData struct {
 	Start int64
 	// Dur is the span length in nanoseconds.
 	Dur int64
+	// QID is the query the span was measured for (Profile.QID; 0: none).
+	QID uint64
 
 	args  [MaxArgs]Arg
 	nargs uint8
@@ -261,27 +283,6 @@ func Snapshot() []SpanData {
 	return out
 }
 
-// Mark returns a sequence mark; Since(mark) returns spans completed
-// after it. Use Mark/Since (not Reset) to scope a collection window
-// without discarding other collectors' spans.
-func Mark() uint64 {
-	ring.mu.Lock()
-	defer ring.mu.Unlock()
-	return ring.total
-}
-
-// Since returns the buffered spans completed after the mark, oldest
-// first. Spans already overwritten by ring wrap-around are gone.
-func Since(mark uint64) []SpanData {
-	all := Snapshot()
-	for i, d := range all {
-		if d.Seq > mark {
-			return all[i:]
-		}
-	}
-	return nil
-}
-
 // Len returns the number of spans currently buffered.
 func Len() int {
 	ring.mu.Lock()
@@ -297,8 +298,7 @@ func Dropped() uint64 {
 }
 
 // Reset discards all buffered spans and the wrap-around drop count. The
-// sequence counter keeps increasing, so marks taken before a Reset stay
-// valid (Since of an old mark simply finds fewer spans).
+// sequence counter keeps increasing.
 func Reset() {
 	ring.mu.Lock()
 	defer ring.mu.Unlock()

@@ -32,7 +32,7 @@ func TestSpanLifecycle(t *testing.T) {
 		sp.End()
 		sp.End() // double End is a no-op
 
-		spans := Since(0)
+		spans := Snapshot()
 		if len(spans) != 1 {
 			t.Fatalf("got %d spans, want 1", len(spans))
 		}
@@ -62,7 +62,7 @@ func TestSpanLifecycle(t *testing.T) {
 func TestDisabledSpanIsInert(t *testing.T) {
 	prev := SetEnabled(false)
 	t.Cleanup(func() { SetEnabled(prev) })
-	before := Mark()
+	before := Len()
 	sp := Begin("nope")
 	if sp.Active() {
 		t.Error("span active with tracing disabled")
@@ -70,8 +70,8 @@ func TestDisabledSpanIsInert(t *testing.T) {
 	sp.Arg("k", "v")
 	sp.ArgInt("n", 1)
 	sp.End()
-	if got := Since(before); len(got) != 0 {
-		t.Errorf("disabled span recorded: %v", got)
+	if Len() != before {
+		t.Errorf("disabled span recorded: %d spans buffered, want %d", Len(), before)
 	}
 }
 
@@ -110,7 +110,6 @@ func TestEnabledZeroAlloc(t *testing.T) {
 
 func TestRingWrapAndDropped(t *testing.T) {
 	withTracing(t, 4, func() {
-		mark := Mark()
 		for i := 0; i < 10; i++ {
 			sp := Begin("s")
 			sp.ArgInt("i", int64(i))
@@ -122,7 +121,7 @@ func TestRingWrapAndDropped(t *testing.T) {
 		if Dropped() != 6 {
 			t.Errorf("Dropped = %d, want 6", Dropped())
 		}
-		spans := Since(mark)
+		spans := Snapshot()
 		if len(spans) != 4 {
 			t.Fatalf("got %d spans, want 4", len(spans))
 		}
@@ -133,20 +132,6 @@ func TestRingWrapAndDropped(t *testing.T) {
 		}
 		if v, _ := spans[3].Args()[0].Int64(); v != 9 {
 			t.Errorf("newest span i=%d, want 9", v)
-		}
-	})
-}
-
-func TestMarkSince(t *testing.T) {
-	withTracing(t, 64, func() {
-		sp := Begin("before")
-		sp.End()
-		mark := Mark()
-		sp2 := Begin("after")
-		sp2.End()
-		got := Since(mark)
-		if len(got) != 1 || got[0].Name != "after" {
-			t.Errorf("Since(mark) = %v, want exactly [after]", got)
 		}
 	})
 }
