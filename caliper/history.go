@@ -25,7 +25,7 @@ var (
 // window deltas, gauges as samples, histograms as mergeable log-linear
 // bin sets — and writes the window as one .cali file under Dir, keeping
 // at most MaxFiles files. The files are ordinary caligo datasets; query
-// the timeline with cali-query or calql.QueryFiles:
+// the timeline with cali-query or calql.Run:
 //
 //	SELECT time.window.start, metric.name, sum(metric.delta)
 //	  GROUP BY time.window.start, metric.name

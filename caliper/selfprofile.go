@@ -26,7 +26,7 @@ var (
 // point-in-time profiles (heap, goroutine, ... ), converts each to a
 // .cali file under Dir, and keeps at most MaxFiles files. The files are
 // ordinary caligo datasets — query them with cali-query, cali-prof, or
-// calql.QueryFiles:
+// calql.Run:
 //
 //	SELECT prof.function, inclusive_sum(cpu.samples)
 //	GROUP BY prof.function FORMAT tree

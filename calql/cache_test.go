@@ -1,10 +1,13 @@
 package calql
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -66,7 +69,7 @@ func TestCacheSmoke(t *testing.T) {
 	files := shardedFiles(t, 6)
 	cacheDir := t.TempDir()
 	for _, q := range cacheSmokeQueries {
-		oracle, err := QueryFilesOpt(q, files, Options{NoCache: true})
+		oracle, err := Run(context.Background(), q, files, Options{NoCache: true})
 		if err != nil {
 			t.Fatalf("uncached %q: %v", q, err)
 		}
@@ -76,10 +79,10 @@ func TestCacheSmoke(t *testing.T) {
 			mode string
 			run  func() (fmt.Stringer, error)
 		}{
-			{"cold", func() (fmt.Stringer, error) { return QueryFilesOpt(q, files, Options{CacheDir: cacheDir}) }},
-			{"warm", func() (fmt.Stringer, error) { return QueryFilesOpt(q, files, Options{CacheDir: cacheDir}) }},
+			{"cold", func() (fmt.Stringer, error) { return Run(context.Background(), q, files, Options{CacheDir: cacheDir}) }},
+			{"warm", func() (fmt.Stringer, error) { return Run(context.Background(), q, files, Options{CacheDir: cacheDir}) }},
 			{"warm-sharded", func() (fmt.Stringer, error) {
-				return QueryFilesJobsOpt(q, files, 3, Options{CacheDir: cacheDir})
+				return Run(context.Background(), q, files, Options{Jobs: 3, CacheDir: cacheDir})
 			}},
 		}
 		for _, r := range runs {
@@ -95,11 +98,11 @@ func TestCacheSmoke(t *testing.T) {
 
 		// the MPI-parallel path interleaves selection rows by rank, so its
 		// oracle is the same parallel run with the cache disabled
-		parOracle, err := QueryFilesParallelOpt(q, files, 2, Options{NoCache: true})
+		parOracle, err := Run(context.Background(), q, files, Options{Ranks: 2, NoCache: true})
 		if err != nil {
 			t.Fatalf("parallel uncached %q: %v", q, err)
 		}
-		par, err := QueryFilesParallelOpt(q, files, 2, Options{CacheDir: cacheDir})
+		par, err := Run(context.Background(), q, files, Options{Ranks: 2, CacheDir: cacheDir})
 		if err != nil {
 			t.Fatalf("parallel cached %q: %v", q, err)
 		}
@@ -137,7 +140,7 @@ func TestCacheWarmHitCounters(t *testing.T) {
 	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
 
 	misses0 := qcache.TelMisses.Value()
-	if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+	if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 	if got := qcache.TelMisses.Value() - misses0; got != uint64(len(files)) {
@@ -145,7 +148,7 @@ func TestCacheWarmHitCounters(t *testing.T) {
 	}
 
 	hits0, skipped0 := qcache.TelHits.Value(), qcache.TelBytesSkipped.Value()
-	if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+	if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 	if got := qcache.TelHits.Value() - hits0; got != uint64(len(files)) {
@@ -176,7 +179,7 @@ func TestCacheAppendIncremental(t *testing.T) {
 	cacheDir := t.TempDir()
 	const q = "AGGREGATE sum(aggregate.count), sum(sum#time.duration) GROUP BY kernel"
 
-	if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+	if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(file)
@@ -187,12 +190,12 @@ func TestCacheAppendIncremental(t *testing.T) {
 
 	appendDataset(t, file, 0, 25)
 
-	oracle, err := QueryFilesOpt(q, files, Options{NoCache: true})
+	oracle, err := Run(context.Background(), q, files, Options{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	incr0, skipped0 := qcache.TelIncremental.Value(), qcache.TelBytesSkipped.Value()
-	got, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir})
+	got, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,19 +213,19 @@ func TestCacheAppendIncremental(t *testing.T) {
 	// the entry was re-stored at the new watermark: one more run is a
 	// clean hit, and appending again is again incremental
 	hits0 := qcache.TelHits.Value()
-	if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+	if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 	if n := qcache.TelHits.Value() - hits0; n != 1 {
 		t.Errorf("post-append warm hits = %d, want 1", n)
 	}
 	appendDataset(t, file, 0, 10)
-	oracle2, err := QueryFilesOpt(q, files, Options{NoCache: true})
+	oracle2, err := Run(context.Background(), q, files, Options{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	incr1 := qcache.TelIncremental.Value()
-	got2, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir})
+	got2, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +247,12 @@ func TestCacheIndexedFilesAgree(t *testing.T) {
 		"AGGREGATE sum(aggregate.count) GROUP BY kernel",
 		"AGGREGATE sum(aggregate.count) WHERE mpi.rank = 2 GROUP BY kernel",
 	} {
-		oracle, err := QueryFilesOpt(q, files, Options{NoCache: true, NoIndex: true})
+		oracle, err := Run(context.Background(), q, files, Options{NoCache: true, NoIndex: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, mode := range []string{"cold", "warm"} {
-			rs, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir})
+			rs, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,11 +272,11 @@ func TestCacheFallback(t *testing.T) {
 	cacheDir := t.TempDir()
 	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
 
-	oracle, err := QueryFilesOpt(q, files, Options{NoCache: true})
+	oracle, err := Run(context.Background(), q, files, Options{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+	if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -303,7 +306,7 @@ func TestCacheFallback(t *testing.T) {
 	}
 
 	fb0 := qcache.TelFallback.Value()
-	got, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir})
+	got, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +320,7 @@ func TestCacheFallback(t *testing.T) {
 
 	// the full-scan run re-stored clean entries: next run hits again
 	hits0 := qcache.TelHits.Value()
-	if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+	if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 	if n := qcache.TelHits.Value() - hits0; n != uint64(len(files)) {
@@ -336,17 +339,17 @@ func TestCacheTruncatedFileFallsBack(t *testing.T) {
 	cacheDir := t.TempDir()
 	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
 
-	if _, err := QueryFilesOpt(q, []string{file}, Options{CacheDir: cacheDir}); err != nil {
+	if _, err := Run(context.Background(), q, []string{file}, Options{CacheDir: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 	// rewrite the file smaller, with different content
 	writeDatasetN(t, file, 1, 10)
-	oracle, err := QueryFilesOpt(q, []string{file}, Options{NoCache: true})
+	oracle, err := Run(context.Background(), q, []string{file}, Options{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fb0 := qcache.TelFallback.Value()
-	got, err := QueryFilesOpt(q, []string{file}, Options{CacheDir: cacheDir})
+	got, err := Run(context.Background(), q, []string{file}, Options{CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,8 +367,7 @@ func TestCacheTruncatedFileFallsBack(t *testing.T) {
 func TestCacheNoCacheOverride(t *testing.T) {
 	files := shardedFiles(t, 2)
 	cacheDir := t.TempDir()
-	if _, err := QueryFilesOpt("AGGREGATE count GROUP BY kernel", files,
-		Options{CacheDir: cacheDir, NoCache: true}); err != nil {
+	if _, err := Run(context.Background(), "AGGREGATE count GROUP BY kernel", files, Options{CacheDir: cacheDir, NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
 	ents, err := os.ReadDir(cacheDir)
@@ -379,13 +381,77 @@ func TestCacheNoCacheOverride(t *testing.T) {
 	}
 }
 
+// TestCancelledCacheMissStoresNothing: a query cancelled while it scans a
+// cache miss stores no entry — its drain ends in the context's error, not
+// in an early EOF whose partial state the miss would store — and the next
+// run's output is byte-identical to an uncached run.
+func TestCancelledCacheMissStoresNothing(t *testing.T) {
+	defer telemetry.SetEnabled(telemetry.SetEnabled(true))
+	file := filepath.Join(t.TempDir(), "big.cali")
+	if err := os.WriteFile(file, recordStream(0, 100000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cacheDir := t.TempDir()
+	entries := func() int {
+		ents, err := os.ReadDir(cacheDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, de := range ents {
+			if filepath.Ext(de.Name()) == qcache.EntryExt {
+				n++
+			}
+		}
+		return n
+	}
+	const q = "AGGREGATE count GROUP BY kernel"
+
+	// cancel once the scan has decoded 1024 records
+	read := telemetry.NewCounter("caligo.calformat.records.read")
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	go func() {
+		for start := read.Value(); read.Value() < start+1024; runtime.Gosched() {
+			select {
+			case <-ran:
+				return
+			default:
+			}
+		}
+		cancel()
+	}()
+	_, err := Run(ctx, q, []string{file}, Options{CacheDir: cacheDir})
+	close(ran)
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled (did the scan end before the cancel?)", err)
+	}
+	if n := entries(); n != 0 {
+		t.Fatalf("the cancelled miss stored %d entries", n)
+	}
+
+	want, err := Run(context.Background(), q, []string{file}, Options{NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), q, []string{file}, Options{CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("after the cancelled run:\n--- uncached ---\n%s--- cached ---\n%s", want, got)
+	}
+	if n := entries(); n != 1 {
+		t.Errorf("the completed miss stored %d entries, want 1", n)
+	}
+}
+
 // TestCacheSmokeExplain: with a cache directory configured, EXPLAIN
 // shows the cache plan node (and where the state lives).
 func TestCacheSmokeExplain(t *testing.T) {
 	cacheDir := t.TempDir()
-	out, err := ExplainFilesOpts(
-		"EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel",
-		[]string{"a.cali", "b.cali"}, 0, 1, Options{CacheDir: cacheDir})
+	out, err := explain("EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel", []string{"a.cali", "b.cali"}, Options{CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,9 +459,7 @@ func TestCacheSmokeExplain(t *testing.T) {
 		t.Errorf("EXPLAIN missing the cache node:\n%s", out)
 	}
 	// without a cache directory the node is absent
-	out, err = ExplainFilesOpts(
-		"EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel",
-		[]string{"a.cali", "b.cali"}, 0, 1, Options{})
+	out, err = explain("EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel", []string{"a.cali", "b.cali"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,19 +484,19 @@ func BenchmarkCachedQuery(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryFilesOpt(q, files, Options{NoCache: true}); err != nil {
+			if _, err := Run(context.Background(), q, files, Options{NoCache: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		cacheDir := b.TempDir()
-		if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+		if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+			if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -452,12 +516,12 @@ func BenchmarkCachedQuery(b *testing.B) {
 			if err := os.Truncate(files[0], base.Size()); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+			if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 				b.Fatal(err)
 			}
 			appendDatasetB(b, files[0], 0, 20)
 			b.StartTimer()
-			if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+			if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -552,7 +616,7 @@ func TestCacheWarmLargeSums(t *testing.T) {
 	}
 
 	const q = "AGGREGATE sum(time.duration) GROUP BY kernel"
-	oracle, err := QueryFilesOpt(q, files, Options{NoCache: true})
+	oracle, err := Run(context.Background(), q, files, Options{NoCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +626,7 @@ func TestCacheWarmLargeSums(t *testing.T) {
 	}
 	cacheDir := t.TempDir()
 	for _, mode := range []string{"cold", "warm"} {
-		rs, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir})
+		rs, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -582,7 +646,7 @@ func TestExplainNamesCacheFallbacks(t *testing.T) {
 	files := shardedFiles(t, 3)
 	cacheDir := t.TempDir()
 	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
-	if _, err := QueryFilesOpt(q, files, Options{CacheDir: cacheDir}); err != nil {
+	if _, err := Run(context.Background(), q, files, Options{CacheDir: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 	writeDatasetN(t, files[0], 7, 5) // rewritten in place: stale
@@ -609,7 +673,7 @@ func TestExplainNamesCacheFallbacks(t *testing.T) {
 		t.Fatalf("damaged %d entries, want the one of %s", damaged, files[1])
 	}
 
-	out, err := ExplainFilesOpts("EXPLAIN ANALYZE "+q, files, 0, 1, Options{CacheDir: cacheDir})
+	out, err := explain("EXPLAIN ANALYZE "+q, files, Options{CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,8 +682,9 @@ func TestExplainNamesCacheFallbacks(t *testing.T) {
 			t.Errorf("EXPLAIN ANALYZE cache node missing %q:\n%s", want, out)
 		}
 	}
-	// the attribution record reads its cache outcome from the same phase
-	if s := obs.QuerySnapshot()[0]; s.Text != q || s.CacheHits != 1 || s.CacheMisses != 2 || s.CacheIncremental != 0 {
+	// the attribution record — of the statement as run — reads its cache
+	// outcome from the same phase
+	if s := obs.QuerySnapshot()[0]; s.Text != "EXPLAIN ANALYZE "+q || s.CacheHits != 1 || s.CacheMisses != 2 || s.CacheIncremental != 0 {
 		t.Errorf("/debug/queries record %q: cache hits=%d misses=%d incremental=%d, want 1, 2, 0",
 			s.Text, s.CacheHits, s.CacheMisses, s.CacheIncremental)
 	}

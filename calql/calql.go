@@ -3,14 +3,18 @@
 // Section III-B and run them over .cali datasets, or over records flushed
 // from a live caliper.Channel (on-line analytical aggregation).
 //
-// Every file query — serial (QueryFiles, QueryFilesOpt), sharded across
-// in-process workers (QueryFilesJobsOpt), the emulated-MPI parallel query
-// application of Section IV-C (QueryFilesParallelOpt), EXPLAIN ANALYZE
-// (ExplainFilesOpts) — runs through the one executor in internal/query;
-// the entry points differ only in the worker and rank counts they pass.
+// Run is the one way to query files. Its Options pick the execution —
+// serial, sharded across in-process workers, or the emulated-MPI parallel
+// query application of Section IV-C — and every choice runs through the
+// one executor in internal/query and yields the same rows. EXPLAIN and
+// EXPLAIN ANALYZE are statements passed to Run like any other query;
+// Result.Plan holds the plan. QueryChannel and QueryRecords query data
+// already in memory.
 package calql
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -25,20 +29,11 @@ import (
 	"caligo/internal/qcache"
 	"caligo/internal/query"
 	"caligo/internal/snapshot"
+	"caligo/internal/trace"
 )
 
 // Query is a parsed query in the aggregation description language.
 type Query = internalcalql.Query
-
-// ExplainMode marks EXPLAIN / EXPLAIN ANALYZE statements on a Query.
-type ExplainMode = internalcalql.ExplainMode
-
-// Explain modes (the Query.Explain field).
-const (
-	ExplainNone    = internalcalql.ExplainNone
-	ExplainPlan    = internalcalql.ExplainPlan
-	ExplainAnalyze = internalcalql.ExplainAnalyze
-)
 
 // Parse parses a query, e.g.
 //
@@ -74,224 +69,219 @@ func (rs *Resultset) String() string {
 	return sb.String()
 }
 
-// Options control query execution across the QueryFiles* entry points.
-// The zero value is the default behavior.
+// Options control how Run executes a query; the zero value runs it
+// serially. Jobs and Ranks share one rule: 0 means one worker and no
+// emulated MPI, a negative count one per CPU (Jobs) or one per file
+// (Ranks).
 type Options struct {
+	// Jobs is the number of in-process read+aggregate workers: each
+	// aggregates a round-robin share of the files into a private database
+	// shard, and the shards fold in a pairwise merge tree. No worker goes
+	// without a file.
+	Jobs int
+	// Ranks runs the emulated-MPI query application of Section IV-C: each
+	// rank aggregates a round-robin share of the files, as in the paper's
+	// weak-scaling setup, and the partial databases combine in a
+	// logarithmic tree reduction. A rank is one worker: Ranks overrides
+	// Jobs.
+	Ranks int
 	// NoIndex disables sidecar index use: every file is fully decoded,
-	// with no file/block pruning and no projection pushdown. The output is
-	// byte-identical either way; the flag exists for comparison and as an
-	// escape hatch.
+	// with no file/block pruning and no projection pushdown.
 	NoIndex bool
 	// CacheDir enables the per-file aggregate state cache (internal/
 	// qcache) rooted at the given directory. Empty falls back to the
 	// CALIGO_CACHE environment variable; if that is empty too, caching is
-	// off. The output is byte-identical either way.
+	// off.
 	CacheDir string
 	// NoCache force-disables the aggregate cache, overriding CacheDir and
 	// CALIGO_CACHE.
 	NoCache bool
 }
 
-// cacheDir resolves the effective cache directory ("" = caching off).
-func (o Options) cacheDir() string {
-	if o.NoCache {
-		return ""
-	}
-	if o.CacheDir != "" {
-		return o.CacheDir
-	}
-	return os.Getenv("CALIGO_CACHE")
+// execution is Options resolved against the input file count, before any
+// input is opened — a scan unit is a file, whatever its index or cache
+// state — so the plan EXPLAIN prints describes the run it stands for.
+type execution struct {
+	mode                *query.Mode
+	inputs, jobs, ranks int
+	useIndex            bool
+	cacheDir            string // "" = caching off
 }
 
-func (o Options) scan() query.ScanOptions {
-	so := query.ScanOptions{UseIndex: !o.NoIndex}
-	if dir := o.cacheDir(); dir != "" {
+func (o Options) resolve(nfiles int) (execution, error) {
+	e := execution{mode: query.Serial, inputs: nfiles, jobs: 1, useIndex: !o.NoIndex}
+	if !o.NoCache {
+		e.cacheDir = cmp.Or(o.CacheDir, os.Getenv("CALIGO_CACHE"))
+	}
+	switch {
+	case o.Ranks < 0 && nfiles == 0:
+		return e, fmt.Errorf("calql: no input files")
+	case o.Ranks != 0:
+		e.mode, e.ranks = query.MPI, cmp.Or(max(o.Ranks, 0), nfiles)
+	case o.Jobs != 0:
+		if e.jobs = query.Workers(o.Jobs, nfiles); e.jobs > 1 {
+			e.mode = query.Sharded
+		}
+	}
+	return e, nil
+}
+
+func (e execution) scan() query.ScanOptions {
+	so := query.ScanOptions{UseIndex: e.useIndex}
+	if e.cacheDir != "" {
 		// an unopenable cache directory silently disables caching: the
 		// query must answer regardless
-		if store, err := qcache.Shared(dir); err == nil {
+		if store, err := qcache.Shared(e.cacheDir); err == nil {
 			so.Cache = store
 		}
 	}
 	return so
 }
 
-// QueryFiles runs a query serially over the given .cali files, merging
-// them into one dataset first (the off-line analytical aggregation path).
-// Sidecar block indexes (see calformat.BuildFileIndex) are consulted when
-// present: files and blocks the WHERE clause cannot match are skipped,
-// and aggregating queries decode only the attributes they reference.
-func QueryFiles(queryText string, files []string) (*Resultset, error) {
-	return QueryFilesOpt(queryText, files, Options{})
-}
-
-// QueryFilesOpt is QueryFiles with explicit execution options.
-func QueryFilesOpt(queryText string, files []string, opts Options) (*Resultset, error) {
-	return QueryFilesJobsOpt(queryText, files, 1, opts)
-}
-
-// QueryFilesJobsOpt runs a query over the given .cali files with up to
-// jobs in-process read+aggregate workers (sharded multi-core execution):
-// the files are fanned out round-robin, each worker aggregates its files
-// into a private database shard, and the shards are folded together with
-// a pairwise merge tree before the shared postprocess tail. The output is
-// byte-identical for every jobs. jobs <= 0 selects one worker per CPU; no
-// worker goes without a file, so jobs == 1 — or a single file — is serial
-// execution.
-func QueryFilesJobsOpt(queryText string, files []string, jobs int, opts Options) (*Resultset, error) {
-	res, _, err := run(queryText, files, jobs, 0, opts)
+// explain renders q's plan, annotated with a run's phases if any.
+func (e execution) explain(q *Query, phases []trace.Phase) (string, error) {
+	plan, err := query.BuildPlan(q, query.PlanOptions{
+		Inputs: e.inputs, Ranks: e.ranks, Jobs: e.jobs, // BuildPlan's default fan-in is pquery's: 2
+		UseIndex: e.useIndex, Cache: e.cacheDir != "", CacheDir: e.cacheDir,
+	})
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	return res.Resultset, nil
+	plan.Annotate(phases)
+	var sb strings.Builder
+	err = plan.Write(&sb)
+	return sb.String(), err
 }
 
 // ParallelTiming re-exports the parallel query phase breakdown.
 type ParallelTiming = pquery.Timing
 
-// ParallelResult bundles a parallel query's resultset with its timing.
-type ParallelResult struct {
+// Result is a query's rows with the records it read and, with Ranks set,
+// its phase timing. Plan is the rendered plan of an EXPLAIN statement,
+// which reads no input and has no rows, or of an EXPLAIN ANALYZE one,
+// which runs the query and annotates each plan node with what the run
+// measured; "" for any other statement.
+type Result struct {
 	*Resultset
 	Timing           ParallelTiming
 	RecordsProcessed uint64
+	Plan             string
 }
 
-// QueryFilesParallelOpt runs a query with the emulated-MPI parallel query
-// application: ranks MPI processes are spawned (ranks <= 0: one per
-// file), files are distributed round-robin (one subset per rank, as in
-// the paper's weak-scaling setup), each rank aggregates its subset
-// locally through the index-aware scan layer, and the partial aggregation
-// databases are combined in a logarithmic tree reduction.
-func QueryFilesParallelOpt(queryText string, files []string, ranks int, opts Options) (*ParallelResult, error) {
-	if ranks <= 0 {
-		ranks = len(files)
+// Run parses a query once and runs it over .cali files, the off-line
+// analytical aggregation path, as opts says. Sidecar block indexes (see
+// calformat.BuildFileIndex) prune files and blocks the WHERE clause
+// cannot match, and aggregating queries decode only the attributes they
+// reference. The output is the same bytes for every Options.
+//
+// Cancelling ctx stops the run between scan units, every 1024 records and
+// between merge levels, and releases emulated ranks blocked in
+// communication; Run then returns an error wrapping ctx.Err(). A read
+// blocked on its input finishes first.
+func Run(ctx context.Context, queryText string, files []string, opts Options) (res *Result, err error) {
+	e, err := opts.resolve(len(files))
+	if err != nil {
+		return nil, err
 	}
-	if ranks <= 0 {
-		return nil, fmt.Errorf("calql: no input files")
+	q, err := Parse(queryText)
+	if err == nil && q.Explain == internalcalql.ExplainPlan {
+		plan, err := e.explain(q, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Resultset: &Resultset{Reg: attr.NewRegistry(), Query: q}, Plan: plan}, nil
 	}
-	res, _, err := run(queryText, files, 1, ranks, opts)
-	return res, err
-}
-
-// resolve maps a requested (jobs, ranks) to the execution mode and worker
-// count of a query over nfiles files. Ranks take precedence: each rank of
-// the emulated-MPI path is one worker. run and EXPLAIN both resolve here,
-// without opening an input — a scan unit is a file, whatever its index or
-// cache state — so a plan describes the run it stands for.
-func resolve(jobs, ranks, nfiles int) (*query.Mode, int) {
-	if ranks > 0 {
-		return query.MPI, 1
-	}
-	if jobs = query.Workers(jobs, nfiles); jobs > 1 {
-		return query.Sharded, jobs
-	}
-	return query.Serial, 1
-}
-
-// run is the one way a query over files executes: parse → registry → scan
-// plan → the executor's local phase (per rank when ranks > 0, followed by
-// the cross-rank tree reduce) → result rows, with query attribution
-// around it all. It returns the executor too: its profile holds the run's
-// phase times.
-func run(queryText string, files []string, jobs, ranks int, opts Options) (res *ParallelResult, x *query.Exec, err error) {
-	mode, jobs := resolve(jobs, ranks, len(files))
-	aq := obs.BeginQuery(queryText, mode.Engine)
+	aq := obs.BeginQuery(queryText, e.mode.Engine)
 	defer func() {
 		if res != nil {
 			aq.SetRows(len(res.Rows))
 		}
 		aq.End(err)
 	}()
-	q, err := Parse(queryText)
+	if err != nil {
+		return nil, err
+	}
+	inner := q
+	if q.Explain == internalcalql.ExplainAnalyze {
+		inner = q.WithoutExplain()
+	}
+	res, x, err := e.run(ctx, inner, files, aq)
+	if err != nil || inner == q {
+		return res, err
+	}
+	// EXPLAIN ANALYZE: time the format phase too, then annotate the plan
+	if err = x.Write(io.Discard, res.Reg, res.Rows); err == nil {
+		res.Plan, err = e.explain(q, x.Prof.Phases())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// run is the one way a query over files executes: scan plan → the
+// executor's local phase (per rank in the MPI mode, then the cross-rank
+// tree reduce) → result rows. It returns the executor too: its profile
+// holds the run's phase times.
+func (e execution) run(ctx context.Context, q *Query, files []string, aq *obs.ActiveQuery) (*Result, *query.Exec, error) {
+	x := query.NewExec(q, e.scan(), e.mode, aq)
+	res := &Result{Resultset: &Resultset{Query: q}}
+	if e.mode == query.MPI {
+		world, err := mpi.NewWorld(e.ranks)
+		if err != nil {
+			return nil, nil, err
+		}
+		pr, err := pquery.RunFiles(ctx, world, x, files)
+		if err != nil {
+			return nil, nil, err
+		}
+		res.Rows, res.Reg, res.Timing, res.RecordsProcessed = pr.Rows, pr.Reg, pr.Timing, pr.RecordsProcessed
+		return res, x, nil
+	}
+	res.Reg = attr.NewRegistry()
+	eng, n, _, err := x.Local(ctx, res.Reg, query.Input{Files: files}, e.jobs, 0)
+	if err == nil {
+		// the shared postprocess tail (post-ops, ORDER BY, LIMIT) runs
+		// once, over the fully merged engine
+		res.Rows, err = eng.Results()
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	x = query.NewExec(q, opts.scan(), mode, aq)
-	if mode == query.MPI {
-		world, err := mpi.NewWorld(ranks)
-		if err != nil {
-			return nil, nil, err
-		}
-		pr, err := pquery.RunFiles(world, x, files)
-		if err != nil {
-			return nil, nil, err
-		}
-		res = &ParallelResult{
-			Resultset:        &Resultset{Rows: pr.Rows, Reg: pr.Reg, Query: q},
-			Timing:           pr.Timing,
-			RecordsProcessed: pr.RecordsProcessed,
-		}
-	} else {
-		reg := attr.NewRegistry()
-		eng, n, _, err := x.Local(reg, query.Input{Files: files}, jobs, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		// the shared postprocess tail (post-ops, ORDER BY, LIMIT) runs
-		// once, over the fully merged engine
-		rows, err := eng.Results()
-		if err != nil {
-			return nil, nil, err
-		}
-		res = &ParallelResult{
-			Resultset:        &Resultset{Rows: rows, Reg: reg, Query: q},
-			RecordsProcessed: uint64(n),
-		}
-	}
+	res.RecordsProcessed = uint64(n)
 	return res, x, nil
 }
 
-// ExplainFilesOpts executes an EXPLAIN or EXPLAIN ANALYZE statement
-// against the given .cali files and returns the rendered plan. The plan
-// describes — and, for ANALYZE, measures — the execution QueryFilesJobsOpt
-// (ranks == 0) or QueryFilesParallelOpt (ranks > 0) would run with the
-// same arguments. EXPLAIN resolves the plan without touching the inputs;
-// EXPLAIN ANALYZE runs the wrapped query, renders its rows, and annotates
-// each plan node with the run's profile — the spans it measured, the same
-// record /debug/queries serves: wall time, record counts, byte counts.
-// The plan's index node reports the prunable conditions and decode
-// projection (or that indexing is disabled); under ANALYZE it carries the
-// measured block skip statistics and the reason of every index fallback.
-func ExplainFilesOpts(queryText string, files []string, ranks, jobs int, eopts Options) (string, error) {
-	q, err := Parse(queryText)
+// QueryFilesOpt is Run serially. bench/ only.
+func QueryFilesOpt(queryText string, files []string, opts Options) (*Resultset, error) {
+	return QueryFilesJobsOpt(queryText, files, 1, opts)
+}
+
+// QueryFilesJobsOpt is Run with up to jobs workers, jobs <= 0 meaning one
+// per CPU. bench/ only.
+func QueryFilesJobsOpt(queryText string, files []string, jobs int, opts Options) (*Resultset, error) {
+	opts.Jobs, opts.Ranks = cmp.Or(max(jobs, 0), -1), 0
+	res, err := Run(context.Background(), queryText, files, opts)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if q.Explain == ExplainNone {
-		return "", fmt.Errorf("calql: not an EXPLAIN statement: %s", queryText)
-	}
-	mode, jobs := resolve(jobs, ranks, len(files))
-	opts := query.PlanOptions{Inputs: len(files), UseIndex: !eopts.NoIndex, Jobs: jobs}
-	if dir := eopts.cacheDir(); dir != "" {
-		opts.Cache = true
-		opts.CacheDir = dir
-	}
-	if mode == query.MPI {
-		opts.Ranks = ranks // BuildPlan's default fan-in is pquery's: 2
-	}
-	plan, err := query.BuildPlan(q, opts)
-	if err != nil {
-		return "", err
-	}
-	if q.Explain == ExplainAnalyze {
-		res, x, err := run(q.WithoutExplain().String(), files, jobs, ranks, eopts)
-		if err == nil {
-			err = x.Write(io.Discard, res.Reg, res.Rows)
-		}
-		if err != nil {
-			return "", err
-		}
-		plan.Annotate(x.Prof.Phases())
-	}
-	var sb strings.Builder
-	if err := plan.Write(&sb); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
+	return res.Resultset, nil
+}
+
+// QueryFilesParallelOpt is Run on ranks emulated MPI ranks, ranks <= 0
+// meaning one per file. bench/ only.
+func QueryFilesParallelOpt(queryText string, files []string, ranks int, opts Options) (*Result, error) {
+	opts.Jobs, opts.Ranks = 0, cmp.Or(max(ranks, 0), -1)
+	return Run(context.Background(), queryText, files, opts)
 }
 
 // QueryChannel flushes a live measurement channel and runs a query over
-// the flushed records (on-line analytical aggregation). The channel's
-// registry is shared, so result attributes resolve consistently.
+// the flushed records (on-line analytical aggregation), resolved against
+// the channel's registry. It takes no context: it works in memory, with no
+// I/O to wait on. The flush drains the channel: a second QueryChannel sees
+// only what was recorded after the first, and the final flush sees nothing
+// a query saw. It must not run while threads annotate the channel: the
+// flush merges and clears each thread's database without its lock.
 func QueryChannel(queryText string, ch *caliper.Channel) (*Resultset, error) {
 	q, err := Parse(queryText)
 	if err != nil {
@@ -312,6 +302,7 @@ func QueryChannel(queryText string, ch *caliper.Channel) (*Resultset, error) {
 }
 
 // QueryRecords runs a query over in-memory records resolved against reg.
+// Like QueryChannel it takes no context: there is no I/O to wait on.
 func QueryRecords(queryText string, reg *attr.Registry, recs []snapshot.FlatRecord) (*Resultset, error) {
 	q, err := Parse(queryText)
 	if err != nil {

@@ -1,14 +1,21 @@
 package calql
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"caligo/caliper"
+	"caligo/internal/testutil"
 )
 
 // writeDataset runs a small instrumented workload and records its profile
@@ -43,7 +50,7 @@ func TestQueryFiles(t *testing.T) {
 		writeDataset(t, p, r)
 		files = append(files, p)
 	}
-	rs, err := QueryFiles("AGGREGATE sum(aggregate.count) GROUP BY kernel", files)
+	rs, err := Run(context.Background(), "AGGREGATE sum(aggregate.count) GROUP BY kernel", files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +75,11 @@ func TestQueryFilesParallelMatchesSerial(t *testing.T) {
 		files = append(files, p)
 	}
 	const q = "AGGREGATE sum(aggregate.count), sum(sum#time.duration) GROUP BY kernel"
-	serial, err := QueryFiles(q, files)
+	serial, err := Run(context.Background(), q, files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := QueryFilesParallelOpt(q, files, 4, Options{})
+	par, err := Run(context.Background(), q, files, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +101,14 @@ func TestQueryFilesParallelDefaults(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "a.cali")
 	writeDataset(t, p, 0)
-	res, err := QueryFilesParallelOpt("AGGREGATE count GROUP BY kernel", []string{p}, 0, Options{})
+	res, err := Run(context.Background(), "AGGREGATE count GROUP BY kernel", []string{p}, Options{Ranks: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) == 0 {
 		t.Error("no rows")
 	}
-	if _, err := QueryFilesParallelOpt("AGGREGATE count", nil, 0, Options{}); err == nil {
+	if _, err := Run(context.Background(), "AGGREGATE count", nil, Options{Ranks: -1}); err == nil {
 		t.Error("no files should error")
 	}
 }
@@ -133,10 +140,42 @@ func TestQueryChannel(t *testing.T) {
 	}
 }
 
+// recordStream is a .cali stream of n records on one rank, alternating
+// between two kernels.
+func recordStream(rank, n int) []byte {
+	b := []byte("__rec=attr,id=0,name=mpi.rank,type=int,prop=nested\n" +
+		"__rec=attr,id=1,name=kernel,type=string,prop=nested\n")
+	for i := 0; i < n; i++ {
+		b = fmt.Appendf(b, "__rec=ctx,attr=0:1,data=%d:%s\n", rank, []string{"advec", "calc-dt"}[i%2])
+	}
+	return b
+}
+
+// pipeWriter opens the write end of the named pipe at path once a reader
+// has opened it, and gives up when stop closes. Writes fail rather than
+// block for good once the reader is gone or after ten seconds.
+func pipeWriter(path string, stop <-chan struct{}) (*os.File, error) {
+	for {
+		w, err := os.OpenFile(path, os.O_WRONLY|syscall.O_NONBLOCK, 0)
+		if err == nil {
+			return w, w.SetWriteDeadline(time.Now().Add(10 * time.Second))
+		}
+		if !errors.Is(err, syscall.ENXIO) { // ENXIO: no reader yet
+			return nil, err
+		}
+		select {
+		case <-stop:
+			return nil, err
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 // TestQueryFilesErrors checks that errors surface the same way in every
 // execution mode: a bad query, a missing file and a corrupt file among
 // good ones each return promptly with an error — naming the offending
-// file — and leave no worker or rank goroutine behind.
+// file — and leave no worker or rank goroutine behind. So does a cancelled
+// run, wherever the cancel lands: its error is context.Canceled.
 func TestQueryFilesErrors(t *testing.T) {
 	dir := t.TempDir()
 	var good []string
@@ -153,9 +192,9 @@ func TestQueryFilesErrors(t *testing.T) {
 	with := func(f string) []string { return []string{good[0], good[1], f, good[2], good[3]} }
 
 	modes := []struct {
-		name        string
-		jobs, ranks int
-	}{{"serial", 1, 0}, {"jobs=3", 3, 0}, {"ranks=3", 1, 3}}
+		name string
+		opts Options
+	}{{"serial", Options{}}, {"jobs=3", Options{Jobs: 3}}, {"ranks=3", Options{Ranks: 3}}}
 	cases := []struct {
 		name, query string
 		files       []string
@@ -165,18 +204,100 @@ func TestQueryFilesErrors(t *testing.T) {
 		{"missing file", "AGGREGATE count", with(missing), missing},
 		{"corrupt file", "AGGREGATE count", with(bad), bad},
 	}
+	// The cancelled column. But for the first case, the run's last input
+	// is a named pipe: the test writes the first keep lines of a stream to
+	// it, waits stall, cancels, writes the lines from keep to upto and
+	// closes it — or, with upto < 0, writes records for as long as the run
+	// reads them. Each rank or worker the pipe does not hold up is by then
+	// done with its files: in the reduce, or waiting to merge.
+	stream := bytes.SplitAfter(recordStream(4, 4000), []byte("\n"))
+	endless := bytes.Join(stream[2:], nil) // records only
+	cancels := []struct {
+		name       string
+		keep, upto int
+		stall      time.Duration
+	}{
+		{"before any file opens", 0, 0, 0},
+		// the input never ends: only a drain can stop the run
+		{"mid-decode", 1024, -1, 0},
+		// 5 records follow the cancel, then EOF: no drain polls again
+		// (it polls every 1024 records), the shard merge sees it
+		{"during the shard merge", len(stream) - 5, len(stream), 0},
+		{"during the reduce, one rank stalled", 2048, 2048, 50 * time.Millisecond},
+	}
+	cancelled := func(opts Options, keep, upto int, stall time.Duration) (time.Duration, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		files := good
+		var cancelledAt time.Time
+		var wg sync.WaitGroup
+		ran := make(chan struct{}) // closed when Run has returned
+		if keep == 0 {
+			cancelledAt = time.Now()
+			cancel()
+		} else {
+			pipe := filepath.Join(t.TempDir(), "stalled.cali")
+			if err := syscall.Mkfifo(pipe, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			files = append(good[:len(good):len(good)], pipe)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w, err := pipeWriter(pipe, ran)
+				if err != nil {
+					return // the run never opened the pipe: reported below
+				}
+				defer w.Close()
+				w.Write(bytes.Join(stream[:keep], nil))
+				time.Sleep(stall)
+				cancelledAt = time.Now()
+				cancel()
+				if upto >= 0 {
+					w.Write(bytes.Join(stream[keep:upto], nil))
+					return
+				}
+				// 64 copies outlast any buffer between the test and a
+				// reader that stopped at the cancel: then a write fails
+				for range 64 {
+					if _, err := w.Write(endless); err != nil {
+						return
+					}
+				}
+				t.Error("the run read 64 copies of its input after the cancel")
+			}()
+		}
+		_, err := Run(ctx, "AGGREGATE count GROUP BY kernel", files, opts)
+		returned := time.Now()
+		close(ran)
+		wg.Wait()
+		if cancelledAt.IsZero() {
+			return 0, fmt.Errorf("returned before the cancel: %v", err)
+		}
+		return returned.Sub(cancelledAt), err
+	}
+
 	before := runtime.NumGoroutine()
 	for _, m := range modes {
 		for _, c := range cases {
-			_, _, err := run(c.query, c.files, m.jobs, m.ranks, Options{})
+			_, err := Run(context.Background(), c.query, c.files, m.opts)
 			if err == nil {
 				t.Errorf("%s, %s: no error", m.name, c.name)
 			} else if !strings.Contains(err.Error(), c.wantInErr) {
 				t.Errorf("%s, %s: error %q does not name %s", m.name, c.name, err, c.wantInErr)
 			}
 		}
+		for _, c := range cancels {
+			took, err := cancelled(m.opts, c.keep, c.upto, c.stall)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s, cancelled %s: error %v, want context.Canceled", m.name, c.name, err)
+			}
+			if took > time.Second {
+				t.Errorf("%s, cancelled %s: returned %v after the cancel", m.name, c.name, took)
+			}
+		}
 	}
-	// every worker and rank is joined before run returns; give exiting
+	// every worker and rank is joined before Run returns; give exiting
 	// goroutines a moment to be reaped before counting
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -184,6 +305,25 @@ func TestQueryFilesErrors(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines before the failing queries, %d after", before, n)
+	}
+}
+
+// TestRunAllocBudget holds the serial path through Run to the allocations
+// a multi-file query made before Run replaced the entry points it had:
+// per query, not per record, so the budget is the whole count.
+func TestRunAllocBudget(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation budgets do not hold under -race instrumentation")
+	}
+	files := explainDataset(t, 4)
+	const q = "AGGREGATE sum(aggregate.count), sum(sum#time.duration) GROUP BY kernel WHERE not(phase)"
+	opts := Options{NoIndex: true, NoCache: true}
+	if avg := testing.AllocsPerRun(50, func() {
+		if _, err := Run(context.Background(), q, files, opts); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 128 {
+		t.Errorf("a serial query over %d files allocates %v objects, want <= 128", len(files), avg)
 	}
 }
 

@@ -1,6 +1,7 @@
 package calql
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"regexp"
@@ -26,11 +27,18 @@ func explainDataset(t *testing.T, ranks int) []string {
 	return files
 }
 
+// explain runs an EXPLAIN statement through Run and returns its plan.
+func explain(text string, files []string, opts Options) (string, error) {
+	res, err := Run(context.Background(), text, files, opts)
+	if err != nil {
+		return "", err
+	}
+	return res.Plan, nil
+}
+
 func TestExplainFilesPlanOnly(t *testing.T) {
 	// EXPLAIN must not read the inputs: nonexistent files are fine
-	out, err := ExplainFilesOpts(
-		"EXPLAIN AGGREGATE count, sum(time.duration) WHERE kernel=advec GROUP BY kernel FORMAT csv",
-		[]string{"/nonexistent/a.cali", "/nonexistent/b.cali"}, 0, 1, Options{})
+	out, err := explain("EXPLAIN AGGREGATE count, sum(time.duration) WHERE kernel=advec GROUP BY kernel FORMAT csv", []string{"/nonexistent/a.cali", "/nonexistent/b.cali"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +54,7 @@ func TestExplainFilesPlanOnly(t *testing.T) {
 
 func TestExplainFilesAnalyzeSerial(t *testing.T) {
 	files := explainDataset(t, 3)
-	out, err := ExplainFilesOpts(
-		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0, 1, Options{})
+	out, err := explain("EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +75,7 @@ func TestExplainFilesAnalyzeSerial(t *testing.T) {
 
 func TestExplainFilesAnalyzeParallel(t *testing.T) {
 	files := explainDataset(t, 4)
-	out, err := ExplainFilesOpts(
-		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 4, 1, Options{})
+	out, err := explain("EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +89,13 @@ func TestExplainFilesAnalyzeParallel(t *testing.T) {
 }
 
 func TestExplainFilesErrors(t *testing.T) {
-	if _, err := ExplainFilesOpts("SELECT *", nil, 0, 1, Options{}); err == nil {
-		t.Error("non-EXPLAIN statement accepted")
+	if plan, err := explain("SELECT *", nil, Options{}); err != nil || plan != "" {
+		t.Errorf("a plain query returned a plan %q (error %v)", plan, err)
 	}
-	if _, err := ExplainFilesOpts("EXPLAIN GROUP BY k", nil, 0, 1, Options{}); err == nil {
+	if _, err := explain("EXPLAIN GROUP BY k", nil, Options{}); err == nil {
 		t.Error("invalid inner query accepted")
 	}
-	if _, err := ExplainFilesOpts(
-		"EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel",
-		[]string{"/nonexistent/a.cali"}, 0, 1, Options{}); err == nil {
+	if _, err := explain("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", []string{"/nonexistent/a.cali"}, Options{}); err == nil {
 		t.Error("EXPLAIN ANALYZE over missing input should fail")
 	}
 }
@@ -100,7 +104,7 @@ func TestExplainFilesRestoresTracingState(t *testing.T) {
 	files := explainDataset(t, 1)
 	prev := trace.SetEnabled(false)
 	t.Cleanup(func() { trace.SetEnabled(prev) })
-	if _, err := ExplainFilesOpts("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", files, 0, 1, Options{}); err != nil {
+	if _, err := explain("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", files, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if trace.Enabled() {
@@ -135,7 +139,7 @@ func TestAnalyzeAndQueryStatsShareOneRecord(t *testing.T) {
 	}{{"serial", 0, 1}, {"sharded", 0, 3}, {"mpi", 4, 1}} {
 		// a LIMIT of its own makes each mode's record findable by its text
 		q := MustParse(fmt.Sprintf("EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel LIMIT %d", 100+i))
-		out, err := ExplainFilesOpts(q.String(), files, m.ranks, m.jobs, Options{})
+		out, err := explain(q.String(), files, Options{Ranks: m.ranks, Jobs: m.jobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +150,7 @@ func TestAnalyzeAndQueryStatsShareOneRecord(t *testing.T) {
 				t.Errorf("%s: the query ID was summed into the %s node: %s", m.name, n[1], n[3])
 			}
 		}
-		rec := record(q.WithoutExplain().String())
+		rec := record(q.String())
 		compared := 0
 		for _, ph := range rec.Phases {
 			got, ok := shown[ph.Name]
@@ -171,7 +175,7 @@ func TestAnalyzeAndQueryStatsShareOneRecord(t *testing.T) {
 		}
 	}
 
-	res, err := QueryFilesParallelOpt("AGGREGATE count GROUP BY kernel LIMIT 99", files, 4, Options{})
+	res, err := Run(context.Background(), "AGGREGATE count GROUP BY kernel LIMIT 99", files, Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +209,7 @@ func TestConcurrentExplainAnalyze(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := ExplainFilesOpts("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", files, ranks, 1, Options{})
+			out, err := explain("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", files, Options{Ranks: ranks})
 			if err != nil {
 				errs <- err
 				return

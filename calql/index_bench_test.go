@@ -1,6 +1,7 @@
 package calql
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -30,14 +31,14 @@ func BenchmarkIndexedScan(b *testing.B) {
 
 	b.Run("selective-indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryFilesOpt(selective, files, Options{}); err != nil {
+			if _, err := Run(context.Background(), selective, files, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("selective-fullscan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryFilesOpt(selective, files, Options{NoIndex: true}); err != nil {
+			if _, err := Run(context.Background(), selective, files, Options{NoIndex: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -45,14 +46,14 @@ func BenchmarkIndexedScan(b *testing.B) {
 
 	b.Run("groupby-indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryFilesOpt(paradis.EvaluationQuery, files, Options{}); err != nil {
+			if _, err := Run(context.Background(), paradis.EvaluationQuery, files, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("groupby-fullscan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryFilesOpt(paradis.EvaluationQuery, files, Options{NoIndex: true}); err != nil {
+			if _, err := Run(context.Background(), paradis.EvaluationQuery, files, Options{NoIndex: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -65,7 +66,7 @@ func BenchmarkIndexedScan(b *testing.B) {
 	one := []string{merged}
 	b.Run("bigfile-j1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryFilesJobsOpt(paradis.EvaluationQuery, one, 1, Options{}); err != nil {
+			if _, err := Run(context.Background(), paradis.EvaluationQuery, one, Options{Jobs: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package calql
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -44,13 +45,13 @@ func TestIndexSmoke(t *testing.T) {
 		"AGGREGATE sum(aggregate.count) WHERE mpi.rank = 99 GROUP BY kernel",
 	}
 	for _, q := range queries {
-		full, err := QueryFilesOpt(q, files, Options{NoIndex: true})
+		full, err := Run(context.Background(), q, files, Options{NoIndex: true})
 		if err != nil {
 			t.Fatalf("fullscan %q: %v", q, err)
 		}
 		want := full.String()
 
-		indexed, err := QueryFilesOpt(q, files, Options{})
+		indexed, err := Run(context.Background(), q, files, Options{})
 		if err != nil {
 			t.Fatalf("indexed %q: %v", q, err)
 		}
@@ -59,7 +60,7 @@ func TestIndexSmoke(t *testing.T) {
 		}
 
 		for _, jobs := range []int{3, 6} {
-			sharded, err := QueryFilesJobsOpt(q, files, jobs, Options{})
+			sharded, err := Run(context.Background(), q, files, Options{Jobs: jobs})
 			if err != nil {
 				t.Fatalf("jobs=%d %q: %v", jobs, q, err)
 			}
@@ -71,11 +72,11 @@ func TestIndexSmoke(t *testing.T) {
 
 		// the MPI-parallel path interleaves selection rows by rank, so its
 		// oracle is the same parallel run with the index disabled
-		parFull, err := QueryFilesParallelOpt(q, files, 3, Options{NoIndex: true})
+		parFull, err := Run(context.Background(), q, files, Options{Ranks: 3, NoIndex: true})
 		if err != nil {
 			t.Fatalf("parallel fullscan %q: %v", q, err)
 		}
-		par, err := QueryFilesParallelOpt(q, files, 3, Options{})
+		par, err := Run(context.Background(), q, files, Options{Ranks: 3})
 		if err != nil {
 			t.Fatalf("parallel %q: %v", q, err)
 		}
@@ -93,7 +94,7 @@ func TestIndexSmokeExplain(t *testing.T) {
 	files := indexedFiles(t, 6)
 	const q = "AGGREGATE sum(aggregate.count) WHERE mpi.rank = 2 GROUP BY kernel"
 
-	out, err := ExplainFilesOpts("EXPLAIN "+q, files, 0, 1, Options{})
+	out, err := explain("EXPLAIN "+q, files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestIndexSmokeExplain(t *testing.T) {
 		}
 	}
 
-	out, err = ExplainFilesOpts("EXPLAIN ANALYZE "+q, files, 0, 1, Options{})
+	out, err = explain("EXPLAIN ANALYZE "+q, files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestIndexSmokeExplain(t *testing.T) {
 		}
 	}
 
-	out, err = ExplainFilesOpts("EXPLAIN "+q, files, 0, 1, Options{NoIndex: true})
+	out, err = explain("EXPLAIN "+q, files, Options{NoIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestExplainNamesIndexFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := ExplainFilesOpts("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", files, 0, 1, Options{})
+	out, err := explain("EXPLAIN ANALYZE AGGREGATE count GROUP BY kernel", files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

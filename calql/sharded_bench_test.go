@@ -1,6 +1,7 @@
 package calql
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,7 +24,7 @@ func BenchmarkQueryFilesSharded(b *testing.B) {
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryFiles(q, files); err != nil {
+			if _, err := Run(context.Background(), q, files, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -31,7 +32,7 @@ func BenchmarkQueryFilesSharded(b *testing.B) {
 	for _, jobs := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("j=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := QueryFilesJobsOpt(q, files, jobs, Options{}); err != nil {
+				if _, err := Run(context.Background(), q, files, Options{Jobs: jobs}); err != nil {
 					b.Fatal(err)
 				}
 			}

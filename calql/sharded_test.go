@@ -1,6 +1,7 @@
 package calql
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -67,13 +68,13 @@ func TestQueryFilesJobsMatchesSerial(t *testing.T) {
 		"AGGREGATE sum(aggregate.count) WHERE mpi.rank < 5 GROUP BY kernel",
 	}
 	for _, q := range queries {
-		serial, err := QueryFiles(q, files)
+		serial, err := Run(context.Background(), q, files, Options{})
 		if err != nil {
 			t.Fatalf("serial %q: %v", q, err)
 		}
 		want := serial.String()
 		for _, jobs := range []int{1, 3, 8} {
-			rs, err := QueryFilesJobsOpt(q, files, jobs, Options{})
+			rs, err := Run(context.Background(), q, files, Options{Jobs: jobs})
 			if err != nil {
 				t.Fatalf("jobs=%d %q: %v", jobs, q, err)
 			}
@@ -90,18 +91,18 @@ func TestQueryFilesJobsMatchesSerial(t *testing.T) {
 func TestQueryFilesJobsDefaults(t *testing.T) {
 	files := shardedFiles(t, 2)
 	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
-	rs, err := QueryFilesJobsOpt(q, files, 0, Options{})
+	rs, err := Run(context.Background(), q, files, Options{Jobs: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := QueryFiles(q, files)
+	serial, err := Run(context.Background(), q, files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.String() != serial.String() {
 		t.Error("default-jobs output differs from serial")
 	}
-	one, err := QueryFilesJobsOpt("AGGREGATE count GROUP BY kernel", files[:1], 8, Options{})
+	one, err := Run(context.Background(), "AGGREGATE count GROUP BY kernel", files[:1], Options{Jobs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +118,11 @@ func TestQueryFilesJobsDefaults(t *testing.T) {
 func TestQueryFilesJobsConcurrentMerge(t *testing.T) {
 	files := shardedFiles(t, 16)
 	const q = "AGGREGATE count, sum(aggregate.count), sum(sum#time.duration) GROUP BY kernel, mpi.rank"
-	serial, err := QueryFiles(q, files)
+	serial, err := Run(context.Background(), q, files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := QueryFilesJobsOpt(q, files, 16, Options{})
+	sharded, err := Run(context.Background(), q, files, Options{Jobs: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +136,7 @@ func TestQueryFilesJobsConcurrentMerge(t *testing.T) {
 // attributes measured spans to them.
 func TestExplainFilesJobs(t *testing.T) {
 	files := shardedFiles(t, 4)
-	out, err := ExplainFilesOpts(
-		"EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0, 4, Options{})
+	out, err := explain("EXPLAIN AGGREGATE sum(aggregate.count) GROUP BY kernel", files, Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,7 @@ func TestExplainFilesJobs(t *testing.T) {
 		}
 	}
 
-	out, err = ExplainFilesOpts(
-		"EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, 0, 4, Options{})
+	out, err = explain("EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel", files, Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +158,7 @@ func TestExplainFilesJobs(t *testing.T) {
 		t.Errorf("EXPLAIN ANALYZE span counts missing (want spans=4 shard, spans=3 merge):\n%s", out)
 	}
 	// jobs == 1 keeps the serial plan shape
-	out, err = ExplainFilesOpts(
-		"EXPLAIN AGGREGATE count GROUP BY kernel", files, 0, 1, Options{})
+	out, err = explain("EXPLAIN AGGREGATE count GROUP BY kernel", files, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +190,13 @@ func TestSingleFileRunsSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ref, err := QueryFilesOpt(q, one, Options{NoIndex: true, NoCache: true})
+		ref, err := Run(context.Background(), q, one, Options{NoIndex: true, NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := ref.String()
 		warmDir := t.TempDir()
-		if _, err := QueryFilesOpt(q, one, Options{CacheDir: warmDir}); err != nil {
+		if _, err := Run(context.Background(), q, one, Options{CacheDir: warmDir}); err != nil {
 			t.Fatal(err)
 		}
 		for _, cache := range []struct {
@@ -209,11 +207,13 @@ func TestSingleFileRunsSerial(t *testing.T) {
 			{"cold", func() Options { return Options{CacheDir: t.TempDir()} }},
 			{"warm", func() Options { return Options{CacheDir: warmDir} }},
 		} {
-			for _, jobs := range []int{1, 4, 0} {
+			for _, jobs := range []int{1, 4, -1} {
 				name := fmt.Sprintf("indexed=%v/cache=%s/j=%d", indexed, cache.name, jobs)
 				shards0 := shards.Value()
 				obs.ResetQueryStats()
-				rs, err := QueryFilesJobsOpt(q, one, jobs, cache.opts())
+				opts := cache.opts()
+				opts.Jobs = jobs
+				rs, err := Run(context.Background(), q, one, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -224,7 +224,9 @@ func TestSingleFileRunsSerial(t *testing.T) {
 					t.Errorf("%s: attribution = %+v, want one serial query", name, snap)
 				}
 				for _, stmt := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
-					out, err := ExplainFilesOpts(stmt+q, one, 0, jobs, cache.opts())
+					opts := cache.opts()
+					opts.Jobs = jobs
+					out, err := explain(stmt+q, one, opts)
 					if err != nil {
 						t.Fatalf("%s: %s: %v", name, stmt, err)
 					}

@@ -1,9 +1,15 @@
 package caligo
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	_ "caligo/caliper"
@@ -42,5 +48,77 @@ func TestMetricCatalogue(t *testing.T) {
 		if _, found := slices.BinarySearch(registered, name); !found {
 			t.Errorf("docs/OBSERVABILITY.md catalogues %s, which nothing registers", name)
 		}
+	}
+}
+
+// TestCalqlSurface: calql has one way to query files, Run, beside
+// QueryChannel and QueryRecords for data already in memory, and three
+// wrappers only bench/ may call. A new exported entry point, or a caller
+// of a wrapper outside bench/, fails here.
+func TestCalqlSurface(t *testing.T) {
+	wrappers := []string{"QueryFilesJobsOpt", "QueryFilesOpt", "QueryFilesParallelOpt"}
+	want := append([]string{"MustParse", "Parse", "QueryChannel", "QueryRecords", "Run"}, wrappers...)
+	slices.Sort(want)
+
+	fset := token.NewFileSet()
+	sources, err := filepath.Glob("calql/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	for _, path := range sources {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+				exported = append(exported, fn.Name.Name)
+			}
+		}
+	}
+	slices.Sort(exported)
+	if !slices.Equal(exported, want) {
+		t.Errorf("calql exports functions %v, want %v (Parse, MustParse and the query runners)", exported, want)
+	}
+
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "bench" || path == ".git") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || filepath.Ext(path) != ".go" || path == filepath.Join("calql", "calql.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var name string
+			switch fun := call.Fun.(type) {
+			case *ast.Ident:
+				name = fun.Name
+			case *ast.SelectorExpr:
+				name = fun.Sel.Name
+			}
+			if slices.Contains(wrappers, name) {
+				t.Errorf("%s calls %s, a wrapper kept for bench/ only: call calql.Run", fset.Position(call.Pos()), name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

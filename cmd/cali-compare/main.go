@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -144,7 +145,7 @@ func splitFileSets(args []string) (baseline, candidate []string, err error) {
 // groupValues runs the query over files and maps each result group (all
 // non-metric entries, rendered) to its metric value.
 func groupValues(queryText, metric string, files []string) (map[string]float64, error) {
-	rs, err := calql.QueryFiles(queryText, files)
+	rs, err := calql.Run(context.Background(), queryText, files, calql.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -261,7 +262,7 @@ func runTop(args []string) error {
 		return fmt.Errorf("no input files")
 	}
 	q := fmt.Sprintf("SELECT prof.function, sum(%s) GROUP BY prof.function", *metric)
-	res, err := calql.QueryFiles(q, fs.Args())
+	res, err := calql.Run(context.Background(), q, fs.Args(), calql.Options{})
 	if err != nil {
 		return err
 	}
@@ -362,7 +363,7 @@ func runTree(args []string) error {
 	}
 	q := fmt.Sprintf("SELECT prof.function, sum(%[1]s), inclusive_sum(%[1]s) "+
 		"GROUP BY prof.function FORMAT tree", *metric)
-	res, err := calql.QueryFiles(q, fs.Args())
+	res, err := calql.Run(context.Background(), q, fs.Args(), calql.Options{})
 	if err != nil {
 		return err
 	}

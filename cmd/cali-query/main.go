@@ -17,6 +17,8 @@
 package main
 
 import (
+	"cmp"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -114,8 +116,24 @@ func run(args []string) error {
 		// leaves a queryable timeline behind
 		defer caliper.StopHistory()
 	}
-	if err := runQuery(*queryText, files, *parallel, *jobs, *showTiming,
-		calql.Options{NoIndex: *noIndex, CacheDir: *cacheDir, NoCache: *noCache}); err != nil {
+	res, err := calql.Run(context.Background(), *queryText, files, calql.Options{
+		Jobs:    cmp.Or(max(*jobs, 0), -1), // -j 0: one worker per CPU
+		Ranks:   max(*parallel, 0),
+		NoIndex: *noIndex, CacheDir: *cacheDir, NoCache: *noCache,
+	})
+	if err != nil {
+		return err
+	}
+	if res.Plan != "" { // EXPLAIN / EXPLAIN ANALYZE print the plan instead of rows
+		_, err = fmt.Print(res.Plan)
+	} else if err = res.Render(os.Stdout); err == nil && *showTiming && *parallel > 0 {
+		fmt.Fprintf(os.Stderr,
+			"records: %d  local: %.2f ms  reduce: %.2f ms  total (virtual): %.2f ms  wall: %v\n",
+			res.RecordsProcessed,
+			res.Timing.LocalVirt/1e6, res.Timing.ReduceVirt/1e6,
+			res.Timing.TotalVirt/1e6, res.Timing.TotalWall)
+	}
+	if err != nil {
 		return err
 	}
 	if *traceOut != "" {
@@ -133,41 +151,4 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "wrote trace to %s (open in ui.perfetto.dev or chrome://tracing)\n", *traceOut)
 	}
 	return nil
-}
-
-func runQuery(queryText string, files []string, parallel, jobs int, showTiming bool, opts calql.Options) error {
-	// EXPLAIN / EXPLAIN ANALYZE statements print the resolved plan instead
-	// of result rows.
-	if q, err := calql.Parse(queryText); err == nil && q.Explain != calql.ExplainNone {
-		out, err := calql.ExplainFilesOpts(queryText, files, parallel, jobs, opts)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Print(out)
-		return err
-	}
-
-	if parallel > 0 {
-		res, err := calql.QueryFilesParallelOpt(queryText, files, parallel, opts)
-		if err != nil {
-			return err
-		}
-		if err := res.Render(os.Stdout); err != nil {
-			return err
-		}
-		if showTiming {
-			fmt.Fprintf(os.Stderr,
-				"records: %d  local: %.2f ms  reduce: %.2f ms  total (virtual): %.2f ms  wall: %v\n",
-				res.RecordsProcessed,
-				res.Timing.LocalVirt/1e6, res.Timing.ReduceVirt/1e6,
-				res.Timing.TotalVirt/1e6, res.Timing.TotalWall)
-		}
-		return nil
-	}
-
-	res, err := calql.QueryFilesJobsOpt(queryText, files, jobs, opts)
-	if err != nil {
-		return err
-	}
-	return res.Render(os.Stdout)
 }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -77,28 +78,28 @@ func run() error {
 	// Question 1 (Figure 8): how does time per refinement level evolve
 	// over the simulation?
 	fmt.Println("runtime per AMR level, every 5th timestep (ms, all ranks):")
-	rs, err := calql.QueryFiles(`
+	rs, err := calql.Run(context.Background(), `
 		LET block = truncate(iteration#mainloop, 5)
 		AGGREGATE sum(sum#time.duration) AS time
 		WHERE not(mpi.function)
 		GROUP BY amr.level, block
-		ORDER BY block, amr.level`, files)
+		ORDER BY block, amr.level`, files, calql.Options{})
 	if err != nil {
 		return err
 	}
-	printLevelSeries(rs, "block")
+	printLevelSeries(rs.Resultset, "block")
 
 	// Question 2 (Figure 9): how do the levels distribute across ranks?
 	fmt.Println("\nruntime per AMR level per MPI rank (ms):")
-	rs2, err := calql.QueryFiles(`
+	rs2, err := calql.Run(context.Background(), `
 		AGGREGATE sum(sum#time.duration) AS time
 		WHERE not(mpi.function)
 		GROUP BY amr.level, mpi.rank
-		ORDER BY mpi.rank, amr.level`, files)
+		ORDER BY mpi.rank, amr.level`, files, calql.Options{})
 	if err != nil {
 		return err
 	}
-	printLevelSeries(rs2, "mpi.rank")
+	printLevelSeries(rs2.Resultset, "mpi.rank")
 
 	fmt.Println("\nthe refinement region grows over time: level 2 cost rises while")
 	fmt.Println("level 0 stays flat — the behaviour the paper shows in Figure 8.")

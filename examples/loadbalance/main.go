@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -76,9 +77,9 @@ func run() error {
 	}
 	tmp.Close()
 
-	rs, err := calql.QueryFiles(
+	rs, err := calql.Run(context.Background(),
 		"AGGREGATE sum(sum#time.duration) GROUP BY kernel, mpi.function, mpi.rank",
-		[]string{tmp.Name()})
+		[]string{tmp.Name()}, calql.Options{})
 	if err != nil {
 		return err
 	}

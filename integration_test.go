@@ -1,6 +1,7 @@
 package caligo
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,14 +61,14 @@ func TestEndToEndPipeline(t *testing.T) {
 	})
 
 	const q = "AGGREGATE sum(aggregate.count), sum(sum#time.duration) GROUP BY kernel, mpi.function"
-	serial, err := calql.QueryFiles(q, files)
+	serial, err := calql.Run(context.Background(), q, files, calql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(serial.Rows) == 0 {
 		t.Fatal("no result rows")
 	}
-	par, err := calql.QueryFilesParallelOpt(q, files, 4, calql.Options{})
+	par, err := calql.Run(context.Background(), q, files, calql.Options{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,15 +108,15 @@ func TestOnlineOfflineEquivalence(t *testing.T) {
 	})
 
 	const q = "AGGREGATE sum(aggregate.count) AS count, sum(sum#time.duration) AS time GROUP BY kernel"
-	rs1, err := calql.QueryFiles(q, coarse)
+	rs1, err := calql.Run(context.Background(), q, coarse, calql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs2, err := calql.QueryFiles(q, fine)
+	rs2, err := calql.Run(context.Background(), q, fine, calql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(rs *calql.Resultset) map[string][2]int64 {
+	get := func(rs *calql.Result) map[string][2]int64 {
 		out := map[string][2]int64{}
 		for _, r := range rs.Rows {
 			k, _ := r.GetByName("kernel")
@@ -174,7 +175,7 @@ func TestCorruptDatasetRejected(t *testing.T) {
 		if err := os.WriteFile(bad, corrupt(append([]byte(nil), data...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := calql.QueryFiles("AGGREGATE count GROUP BY kernel", []string{bad}); err == nil {
+		if _, err := calql.Run(context.Background(), "AGGREGATE count GROUP BY kernel", []string{bad}, calql.Options{}); err == nil {
 			t.Errorf("%s: corrupt dataset accepted", name)
 		}
 	}

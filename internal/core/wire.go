@@ -31,20 +31,25 @@ const wireVersion = 2
 
 // EncodeState serializes the database's aggregation records. The output
 // can be merged into any DB with an equal scheme via MergeEncodedState.
-func (db *DB) EncodeState() []byte {
+func (db *DB) EncodeState() []byte { return db.AppendState(nil) }
+
+// AppendState appends EncodeState's bytes to dst. When dst lacks the
+// room, its one allocation is exactly the size of dst and the state.
+func (db *DB) AppendState(dst []byte) []byte {
 	sorted := db.sortedBuckets()
 	nops, nkeys := len(db.scheme.Ops), len(db.scheme.Key)
-	// the exact encoded size, so the buffer is the one allocation of an
-	// encode
 	size := 1 + uvarintLen(uint64(nops)) + nops + uvarintLen(uint64(nkeys)) + nkeys +
-		uvarintLen(uint64(len(sorted))) + uvarintLen(db.processed)
+		uvarintLen(uint64(len(sorted))) + uvarintLen(db.processed) // the exact encoded size
 	for _, b := range sorted {
 		size += uvarintLen(uint64(b.groups)) + len(b.key)
 		for i := range b.accs {
 			size += accumLen(&b.accs[i])
 		}
 	}
-	buf := append(make([]byte, 0, size), wireVersion)
+	if cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
+	buf := append(dst, wireVersion)
 	buf = binary.AppendUvarint(buf, uint64(nops))
 	// per-op resolved target types (Inv: not known here), so a receiver
 	// whose registry has not seen the target attributes still emits

@@ -316,6 +316,12 @@ func TestWireAllocBudget(t *testing.T) {
 	if len(sink) != cap(sink) {
 		t.Errorf("EncodeState sized its buffer %d for %d bytes", cap(sink), len(sink))
 	}
+	// behind a prefix it has no room for, the one allocation is exact too
+	framed := dst.AppendState([]byte("prefix"))
+	if string(framed[:6]) != "prefix" || !bytes.Equal(framed[6:], sink) || len(framed) != cap(framed) {
+		t.Errorf("AppendState after a 6-byte prefix: %d bytes in a buffer of %d, state equal: %v",
+			len(framed), cap(framed), bytes.Equal(framed[6:], sink))
+	}
 }
 
 // TestWireRejectsForeignKeyShapes: bucketFor writes key groups in ascending

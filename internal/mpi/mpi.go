@@ -13,6 +13,8 @@
 package mpi
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -109,6 +111,15 @@ func (w *World) abort() {
 // failing rank aborts the whole job, releasing peers blocked in
 // communication.
 func (w *World) Run(fn func(c *Comm) error) error {
+	return w.RunContext(context.Background(), fn)
+}
+
+// RunContext is Run under ctx: once ctx is done the job aborts, releasing
+// the ranks blocked in Send/Recv, and a failed job reports ctx.Err().
+func (w *World) RunContext(ctx context.Context, fn func(c *Comm) error) error {
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, w.abort)()
+	}
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
 	for r := 0; r < w.size; r++ {
@@ -132,10 +143,11 @@ func (w *World) Run(fn func(c *Comm) error) error {
 			return fmt.Errorf("mpi: rank %d: %w", r, err)
 		}
 	}
-	// only abort-induced errors remain (if any): report the first
+	// only abort-induced errors remain (if any): report the cancellation
+	// that caused them, or the first
 	for r, err := range errs {
 		if err != nil {
-			return fmt.Errorf("mpi: rank %d: %w", r, err)
+			return fmt.Errorf("mpi: rank %d: %w", r, cmp.Or(ctx.Err(), err))
 		}
 	}
 	return nil

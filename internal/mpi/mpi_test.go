@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // sumCombine interprets payloads as little-endian uint64 and adds them.
@@ -155,6 +157,29 @@ func TestRunPropagatesErrorsAndPanics(t *testing.T) {
 	})
 	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("kaboom")) {
 		t.Errorf("panic not captured: %v", err)
+	}
+}
+
+// TestRunContextReleasesBlockedRanks: a cancelled context aborts the job,
+// so ranks blocked in Recv on messages no rank will send return, and the
+// job reports the cancellation, not the abort.
+func TestRunContextReleasesBlockedRanks(t *testing.T) {
+	w, _ := NewWorld(4)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	err := w.RunContext(ctx, func(c *Comm) error {
+		if c.Rank() == 0 {
+			return nil
+		}
+		_, _, err := c.Recv(0, 7)
+		return err
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	w2, _ := NewWorld(2)
+	if err := w2.RunContext(ctx, func(*Comm) error { return nil }); err != nil {
+		t.Errorf("a job no rank failed reported %v", err)
 	}
 }
 

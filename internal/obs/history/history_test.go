@@ -2,6 +2,7 @@ package history_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -143,9 +144,9 @@ func TestHistoryCalQLEquality(t *testing.T) {
 		"GROUP BY time.window.start, metric.name " +
 		"ORDER BY time.window.start, metric.name"
 
-	fromRing, err := calql.QueryFiles(q, files)
+	fromRing, err := calql.Run(context.Background(), q, files, calql.Options{})
 	if err != nil {
-		t.Fatalf("QueryFiles over ring: %v", err)
+		t.Fatalf("query over ring: %v", err)
 	}
 
 	// offline: decode the same files into memory, aggregate the records
@@ -341,8 +342,7 @@ func TestHistoryConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				files := rec.Files()
-				res, err := calql.QueryFiles(
-					"AGGREGATE sum(metric.delta) GROUP BY metric.name ORDER BY metric.name", files)
+				res, err := calql.Run(context.Background(), "AGGREGATE sum(metric.delta) GROUP BY metric.name ORDER BY metric.name", files, calql.Options{})
 				if err != nil {
 					t.Errorf("concurrent query: %v", err)
 					return

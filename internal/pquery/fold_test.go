@@ -2,6 +2,7 @@ package pquery
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -20,11 +21,31 @@ import (
 	"caligo/internal/testutil"
 )
 
+// newEngine is query.New, failing the test on error.
+func newEngine(t *testing.T, q *calql.Query, reg *attr.Registry) *query.Engine {
+	t.Helper()
+	eng, err := query.New(q, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// processAll feeds recs through eng.
+func processAll(t *testing.T, eng *query.Engine, recs []snapshot.FlatRecord) {
+	t.Helper()
+	for _, r := range recs {
+		if err := eng.Process(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // render formats rows the way calql.Resultset.Render does.
 func render(t *testing.T, q *calql.Query, reg *attr.Registry, rows []snapshot.FlatRecord) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := query.MustNew(q, reg).Write(&buf, rows); err != nil {
+	if err := newEngine(t, q, reg).Write(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -56,7 +77,7 @@ func TestFoldEqualsSerial(t *testing.T) {
 			for name, idle := range holes {
 				// serial reference: one engine over the same inputs
 				reg, tree := attr.NewRegistry(), contexttree.New()
-				eng := query.MustNew(q, reg)
+				eng := newEngine(t, q, reg)
 				for r := 0; r < ranks; r++ {
 					if idle(r) {
 						continue
@@ -65,7 +86,7 @@ func TestFoldEqualsSerial(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng.ProcessAll(recs)
+					processAll(t, eng, recs)
 				}
 				rows, err := eng.Results()
 				if err != nil {
@@ -132,7 +153,7 @@ func TestRanksShareReaders(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		world, _ := mpi.NewWorld(ranks)
 		x := query.NewExec(q, query.ScanOptions{}, query.MPI, nil)
-		if _, err := RunFiles(world, x, files); err != nil {
+		if _, err := RunFiles(context.Background(), world, x, files); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -149,5 +170,44 @@ func TestRanksShareReaders(t *testing.T) {
 	const budget = 256 << 10
 	if best > budget {
 		t.Errorf("a repeated %d-rank run allocates %d bytes, budget %d: ranks build their own readers", ranks, best, budget)
+	}
+}
+
+// TestStatePayload: a rank's reduction payload is its record count and
+// its database's EncodeState bytes, in one allocation of exactly their
+// size, and framing it writes nothing shared.
+func TestStatePayload(t *testing.T) {
+	reg := attr.NewRegistry()
+	eng := newEngine(t, calql.MustParse("AGGREGATE count, sum(time.duration) GROUP BY kernel, mpi.rank"), reg)
+	rd := calformat.NewReader(bytes.NewReader(genDataset(3, 200)), reg, nil)
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Process(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := eng.DB()
+	payload := statePayload(db, 200)
+	if len(payload) != cap(payload) {
+		t.Errorf("statePayload sized its buffer %d for %d bytes", cap(payload), len(payload))
+	}
+	state, n, err := decodePayload(payload)
+	if err != nil || n != 200 || !bytes.Equal(state, db.EncodeState()) {
+		t.Errorf("decoded %d records, err %v, state equal to EncodeState: %v", n, err, bytes.Equal(state, db.EncodeState()))
+	}
+	if countRoom != [8]byte{} {
+		t.Errorf("statePayload wrote into countRoom: %v", countRoom)
+	}
+	if testutil.RaceEnabled {
+		return // allocation counts do not hold under -race instrumentation
+	}
+	if allocs := testing.AllocsPerRun(20, func() { payload = statePayload(db, 200) }); allocs != 1 {
+		t.Errorf("statePayload allocates %v objects, want 1", allocs)
 	}
 }

@@ -17,6 +17,7 @@ package pquery
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"caligo/internal/calformat"
 	"caligo/internal/calql"
 	"caligo/internal/contexttree"
+	"caligo/internal/core"
 	"caligo/internal/mpi"
 	"caligo/internal/query"
 	"caligo/internal/snapshot"
@@ -102,7 +104,7 @@ func RunFanin(world *mpi.World, queryText string, provider InputProvider, fanin 
 		return nil, err
 	}
 	x := query.NewExec(q, query.ScanOptions{}, query.MPI, nil)
-	return run(world, x, fanin, func(rank int) (query.Input, error) {
+	return run(context.Background(), world, x, fanin, func(rank int) (query.Input, error) {
 		in, err := provider(rank)
 		return query.Input{Stream: in}, err
 	})
@@ -111,9 +113,10 @@ func RunFanin(world *mpi.World, queryText string, provider InputProvider, fanin 
 // RunFiles executes x's query across the world over .cali files, which
 // are distributed round-robin — rank r reads files r, r+size, ... — one
 // subset per rank, as in the paper's weak-scaling setup. Each rank scans
-// its subset through x's index- and cache-aware scan plan.
-func RunFiles(world *mpi.World, x *query.Exec, files []string) (*Result, error) {
-	return run(world, x, defaultFanin, func(rank int) (query.Input, error) {
+// its subset through x's index- and cache-aware scan plan. Once ctx is
+// done every rank stops, and RunFiles returns an error wrapping ctx.Err().
+func RunFiles(ctx context.Context, world *mpi.World, x *query.Exec, files []string) (*Result, error) {
+	return run(ctx, world, x, defaultFanin, func(rank int) (query.Input, error) {
 		var in query.Input
 		for i := rank; i < len(files); i += world.Size() {
 			in.Files = append(in.Files, files[i])
@@ -122,14 +125,14 @@ func RunFiles(world *mpi.World, x *query.Exec, files []string) (*Result, error) 
 	})
 }
 
-func run(world *mpi.World, x *query.Exec, fanin int, input func(rank int) (query.Input, error)) (*Result, error) {
+func run(ctx context.Context, world *mpi.World, x *query.Exec, fanin int, input func(rank int) (query.Input, error)) (*Result, error) {
 	if fanin <= 0 {
 		fanin = defaultFanin
 	}
 	var result *Result
 	sp := x.Span("pquery.run", 0)
-	err := world.Run(func(c *mpi.Comm) error {
-		res, err := runRank(c, x, fanin, input)
+	err := world.RunContext(ctx, func(c *mpi.Comm) error {
+		res, err := runRank(ctx, c, x, fanin, input)
 		if c.Rank() == 0 {
 			result = res
 		}
@@ -155,7 +158,7 @@ func run(world *mpi.World, x *query.Exec, fanin int, input func(rank int) (query
 
 // runRank is the per-rank program: the executor's local phase over the
 // rank's input, then the tree reduce.
-func runRank(c *mpi.Comm, x *query.Exec, fanin int, input func(rank int) (query.Input, error)) (*Result, error) {
+func runRank(ctx context.Context, c *mpi.Comm, x *query.Exec, fanin int, input func(rank int) (query.Input, error)) (*Result, error) {
 	in, err := input(c.Rank())
 	if err != nil {
 		return nil, fmt.Errorf("rank %d: open input: %w", c.Rank(), err)
@@ -163,7 +166,7 @@ func runRank(c *mpi.Comm, x *query.Exec, fanin int, input func(rank int) (query.
 	// Each rank has its own registry — per-process address spaces, as in
 	// the real tool.
 	reg := attr.NewRegistry()
-	eng, n, localWall, err := x.Local(reg, in, 1, c.Rank())
+	eng, n, localWall, err := x.Local(ctx, reg, in, 1, c.Rank())
 	if err != nil {
 		return nil, fmt.Errorf("rank %d: read input: %w", c.Rank(), err)
 	}
@@ -204,12 +207,16 @@ func runRank(c *mpi.Comm, x *query.Exec, fanin int, input func(rank int) (query.
 	return res, nil
 }
 
-// encodePayload frames a rank's state — an encoded aggregation database,
-// or gathered rows as a .cali fragment — with its processed-record count.
-func encodePayload(state []byte, processed uint64) []byte {
-	out := make([]byte, 0, 8+len(state))
-	out = binary.LittleEndian.AppendUint64(out, processed)
-	return append(out, state...)
+// countRoom reserves a payload's record count ahead of its state:
+// AppendState always outgrows it, so this array is never written.
+var countRoom [8]byte
+
+// statePayload frames a rank's database with its processed-record count,
+// in one exact-size allocation.
+func statePayload(db *core.DB, processed uint64) []byte {
+	payload := db.AppendState(countRoom[:])
+	binary.LittleEndian.PutUint64(payload, processed)
+	return payload
 }
 
 func decodePayload(b []byte) (state []byte, processed uint64, err error) {
@@ -244,7 +251,7 @@ func reduceAggregated(c *mpi.Comm, x *query.Exec, eng *query.Engine, reg *attr.R
 		c.Advance(mergeBaseNs + perBucketNs*float64(db.Len()))
 		return nil
 	}, func() []byte {
-		payload := encodePayload(db.EncodeState(), processed)
+		payload := statePayload(db, processed)
 		sp.ArgInt("bytes", int64(len(payload)))
 		return payload
 	})
@@ -281,7 +288,8 @@ func gatherRows(c *mpi.Comm, x *query.Exec, eng *query.Engine, reg *attr.Registr
 	sp := x.Span("pquery.reduce", c.Rank())
 	defer sp.End()
 	sp.ArgInt("bytes", int64(len(blob)))
-	gathered, err := c.Gather(0, encodePayload(blob, processed))
+	payload := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(blob)), processed)
+	gathered, err := c.Gather(0, append(payload, blob...))
 	if err != nil || c.Rank() != 0 {
 		return nil, err
 	}

@@ -13,7 +13,6 @@ import (
 	"caligo/internal/contexttree"
 	"caligo/internal/mpi"
 	"caligo/internal/obs/history"
-	"caligo/internal/query"
 	"caligo/internal/snapshot"
 	"caligo/internal/telemetry"
 )
@@ -85,14 +84,14 @@ func TestParallelEqualsSerial(t *testing.T) {
 	reg := attr.NewRegistry()
 	tree := contexttree.New()
 	q := calql.MustParse(queryText)
-	eng := query.MustNew(q, reg)
+	eng := newEngine(t, q, reg)
 	for r := 0; r < ranks; r++ {
 		rd := calformat.NewReader(bytes.NewReader(genDataset(r, records)), reg, tree)
 		recs, err := rd.ReadAll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.ProcessAll(recs)
+		processAll(t, eng, recs)
 	}
 	want, err := eng.Results()
 	if err != nil {
@@ -326,14 +325,14 @@ func TestParallelInclusiveSum(t *testing.T) {
 	serialReg := attr.NewRegistry()
 	serialTree := contexttree.New()
 	q := calql.MustParse("AGGREGATE inclusive_sum(time.duration) GROUP BY kernel")
-	eng := query.MustNew(q, serialReg)
+	eng := newEngine(t, q, serialReg)
 	for r := 0; r < 4; r++ {
 		rd := calformat.NewReader(bytes.NewReader(genDataset(r, 40)), serialReg, serialTree)
 		recs, err := rd.ReadAll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.ProcessAll(recs)
+		processAll(t, eng, recs)
 	}
 	want, err := eng.Results()
 	if err != nil {

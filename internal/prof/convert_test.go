@@ -2,6 +2,7 @@ package prof_test
 
 import (
 	. "caligo/internal/prof"
+	"context"
 
 	"bytes"
 	"fmt"
@@ -153,9 +154,8 @@ func checkCalQLEquivalence(t *testing.T, p *Profile) {
 	if stats.Records == 0 {
 		t.Fatal("conversion produced no records")
 	}
-	res, err := calql.QueryFiles(
-		"SELECT prof.function, sum(cpu.samples), inclusive_sum(cpu.samples) "+
-			"GROUP BY prof.function", []string{path})
+	res, err := calql.Run(context.Background(), "SELECT prof.function, sum(cpu.samples), inclusive_sum(cpu.samples) "+
+		"GROUP BY prof.function", []string{path}, calql.Options{})
 	if err != nil {
 		t.Fatalf("CalQL query: %v", err)
 	}
@@ -275,9 +275,8 @@ func pathHasPrefix(path, prefix []string) bool {
 func TestCalQLTreeFormat(t *testing.T) {
 	p, _ := synthProfile(t)
 	path, _ := writeCali(t, p, t.TempDir())
-	res, err := calql.QueryFiles(
-		"SELECT prof.function, inclusive_sum(cpu.samples) "+
-			"GROUP BY prof.function FORMAT tree", []string{path})
+	res, err := calql.Run(context.Background(), "SELECT prof.function, inclusive_sum(cpu.samples) "+
+		"GROUP BY prof.function FORMAT tree", []string{path}, calql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,9 +464,7 @@ func TestConvertPathologicalFrameNames(t *testing.T) {
 	if stats.Records != 1 {
 		t.Fatalf("records = %d", stats.Records)
 	}
-	res, err := calql.QueryFiles(
-		"SELECT prof.function, inclusive_sum(cpu.samples) GROUP BY prof.function",
-		[]string{path})
+	res, err := calql.Run(context.Background(), "SELECT prof.function, inclusive_sum(cpu.samples) GROUP BY prof.function", []string{path}, calql.Options{})
 	if err != nil {
 		t.Fatalf("query over pathological names: %v", err)
 	}

@@ -2,6 +2,7 @@ package prof_test
 
 import (
 	. "caligo/internal/prof"
+	"context"
 
 	"bytes"
 	"os"
@@ -207,9 +208,8 @@ func TestProfSmoke(t *testing.T) {
 		t.Fatal("CPU windows captured no samples")
 	}
 
-	res, err := calql.QueryFiles(
-		"SELECT prof.function, inclusive_sum(cpu.samples) "+
-			"GROUP BY prof.function FORMAT tree", []string{path})
+	res, err := calql.Run(context.Background(), "SELECT prof.function, inclusive_sum(cpu.samples) "+
+		"GROUP BY prof.function FORMAT tree", []string{path}, calql.Options{})
 	if err != nil {
 		t.Fatalf("smoke query: %v", err)
 	}

@@ -28,6 +28,7 @@ package query
 // only slower.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -124,10 +125,10 @@ func (p *ScanPlan) noteBytesSkipped(n int64) {
 }
 
 // scanCacheHit serves a unit entirely from cached state.
-func (p *ScanPlan) scanCacheHit(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
+func (p *ScanPlan) scanCacheHit(ctx context.Context, eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	priv := p.seeded(eng, u, reg)
 	if priv == nil {
-		return p.scanCacheMiss(eng, u, reg, tree)
+		return p.scanCacheMiss(ctx, eng, u, reg, tree)
 	}
 	if err := eng.db.Merge(priv.db); err != nil {
 		return 0, 0, err
@@ -140,16 +141,16 @@ func (p *ScanPlan) scanCacheHit(eng *Engine, u Unit, reg *attr.Registry, tree *c
 // the resulting per-file state, and merges it into the caller's engine.
 // It is also where an unusable hit or incremental unit lands: nothing
 // below reads the unit's cache routing.
-func (p *ScanPlan) scanCacheMiss(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
+func (p *ScanPlan) scanCacheMiss(ctx context.Context, eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	if eng.db == nil {
-		n, bytes, _, err := p.scanUnitInto(eng, eng, u, reg, tree)
+		n, bytes, _, err := p.scanUnitInto(ctx, eng, eng, u, reg, tree)
 		return n, bytes, err
 	}
 	priv, err := New(p.q, reg)
 	if err != nil {
 		return 0, 0, err
 	}
-	n, bytes, endOff, err := p.scanUnitInto(eng, priv, u, reg, tree)
+	n, bytes, endOff, err := p.scanUnitInto(ctx, eng, priv, u, reg, tree)
 	if err != nil {
 		return n, bytes, err
 	}
@@ -160,11 +161,11 @@ func (p *ScanPlan) scanCacheMiss(eng *Engine, u Unit, reg *attr.Registry, tree *
 // scanCacheIncr seeds a private engine with the cached state, decodes
 // only the file's appended tail, merges, and re-stores under the new
 // watermark. Any replay problem degrades to a stored full scan.
-func (p *ScanPlan) scanCacheIncr(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
+func (p *ScanPlan) scanCacheIncr(ctx context.Context, eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	e := u.cacheEntry
 	priv := p.seeded(eng, u, reg)
 	if priv == nil {
-		return p.scanCacheMiss(eng, u, reg, tree)
+		return p.scanCacheMiss(ctx, eng, u, reg, tree)
 	}
 	f, err := os.Open(u.File)
 	if err != nil {
@@ -194,11 +195,11 @@ func (p *ScanPlan) scanCacheIncr(eng *Engine, u Unit, reg *attr.Registry, tree *
 	}()
 	if replayErr != nil {
 		p.noteCacheFallback("fallback_replay")
-		return p.scanCacheMiss(eng, u, reg, tree)
+		return p.scanCacheMiss(ctx, eng, u, reg, tree)
 	}
 	metaBefore := rd.MetaLines()
 	var rec snapshot.FlatRecord
-	records, err := drain(rd, priv, &rec, u.File)
+	records, err := drain(ctx, rd, priv, &rec, u.File)
 	endOff := rd.Offset()
 	tail := endOff - e.Watermark
 	if err != nil {

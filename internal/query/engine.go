@@ -196,15 +196,6 @@ func (w *Where) Match(rec snapshot.FlatRecord) bool {
 	return true
 }
 
-// MustNew is New panicking on error, for static pipelines.
-func MustNew(q *calql.Query, reg *attr.Registry) *Engine {
-	e, err := New(q, reg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // reader returns the engine's reader, reset onto src.
 func (e *Engine) reader(src io.Reader, reg *attr.Registry, tree *contexttree.Tree) *calformat.Reader {
 	if e.rd == nil {
@@ -244,16 +235,6 @@ func (e *Engine) Process(rec snapshot.FlatRecord) error {
 		return nil
 	}
 	e.rows = append(e.rows, rec.Clone())
-	return nil
-}
-
-// ProcessAll feeds a record slice through the pipeline.
-func (e *Engine) ProcessAll(recs []snapshot.FlatRecord) error {
-	for _, r := range recs {
-		if err := e.Process(r); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -506,8 +487,10 @@ func Run(q *calql.Query, reg *attr.Registry, recs []snapshot.FlatRecord) ([]snap
 	if err != nil {
 		return nil, err
 	}
-	if err := e.ProcessAll(recs); err != nil {
-		return nil, err
+	for _, r := range recs {
+		if err := e.Process(r); err != nil {
+			return nil, err
+		}
 	}
 	return e.Results()
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -145,8 +146,8 @@ type shard struct {
 // mode without a local-phase span). reg is the process's registry, shared
 // by the workers (it is mutex-protected) so attribute ids, LET definitions
 // and result attributes resolve identically across shards; rank labels the
-// spans.
-func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int, time.Duration, error) {
+// spans. Once ctx is done, Local stops early and returns ctx.Err().
+func (x *Exec) Local(ctx context.Context, reg *attr.Registry, in Input, jobs, rank int) (*Engine, int, time.Duration, error) {
 	var rsp trace.Span
 	if in.Stream != nil || len(in.Files) > 0 {
 		// a rank with no input reads nothing, but still reports the
@@ -170,7 +171,7 @@ func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int
 	// order restores the serial (file, record) order
 	var rowsByUnit [][]snapshot.FlatRecord
 	if len(shards) == 1 {
-		x.work(&shards[0], 0, 1, reg, rank, units, nil)
+		x.work(ctx, &shards[0], 0, 1, reg, rank, units, nil)
 	} else {
 		if !x.Q.HasAggregation() {
 			rowsByUnit = make([][]snapshot.FlatRecord, len(units))
@@ -180,7 +181,7 @@ func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				x.work(&shards[w], w, len(shards), reg, rank, units, rowsByUnit)
+				x.work(ctx, &shards[w], w, len(shards), reg, rank, units, rowsByUnit)
 			}(w)
 		}
 		wg.Wait()
@@ -194,7 +195,7 @@ func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int
 		bytes += shards[i].bytes
 	}
 	root := shards[0].eng
-	if err := x.fold(shards, rank); err != nil {
+	if err := x.fold(ctx, shards, rank); err != nil {
 		return nil, 0, 0, err
 	}
 	for _, rows := range rowsByUnit {
@@ -212,7 +213,7 @@ func (x *Exec) Local(reg *attr.Registry, in Input, jobs, rank int) (*Engine, int
 
 // work is one worker: it builds a private engine and drains its
 // round-robin share of the units (w, w+workers, ...) into it.
-func (x *Exec) work(s *shard, w, workers int, reg *attr.Registry, rank int, units []Unit, rowsByUnit [][]snapshot.FlatRecord) {
+func (x *Exec) work(ctx context.Context, s *shard, w, workers int, reg *attr.Registry, rank int, units []Unit, rowsByUnit [][]snapshot.FlatRecord) {
 	sp := x.Span(x.mode.worker, rank)
 	sp.SetTid(w)
 	defer sp.End()
@@ -224,7 +225,10 @@ func (x *Exec) work(s *shard, w, workers int, reg *attr.Registry, rank int, unit
 	defer s.eng.releaseReader()
 	nunits := 0
 	for ui := w; ui < len(units); ui += workers {
-		n, nb, err := x.Plan.ScanUnit(s.eng, units[ui], reg, nil)
+		if s.err = ctx.Err(); s.err != nil {
+			return
+		}
+		n, nb, err := x.Plan.scanUnit(ctx, s.eng, units[ui], reg, nil)
 		s.records += n
 		s.bytes += nb
 		if err != nil {
@@ -238,7 +242,6 @@ func (x *Exec) work(s *shard, w, workers int, reg *attr.Registry, rank int, unit
 		}
 		nunits++
 	}
-	sp.ArgInt("worker", int64(w))
 	sp.ArgInt("units", int64(nunits))
 	sp.ArgInt("records", int64(s.records))
 	sp.ArgInt("bytes", s.bytes)
@@ -248,12 +251,16 @@ func (x *Exec) work(s *shard, w, workers int, reg *attr.Registry, rank int, unit
 // pairwise tree reduction: at stride s, shard i+s folds into shard i.
 // Merges within a level touch disjoint (dst, src) pairs and run
 // concurrently; the merge order is a static function of the worker count,
-// so grouping — and with it the output — is deterministic.
-func (x *Exec) fold(shards []shard, rank int) error {
-	if len(shards) == 1 || shards[0].eng.db == nil {
-		return nil
-	}
-	for stride := 1; stride < len(shards); stride *= 2 {
+// so grouping — and with it the output — is deterministic. ctx is checked
+// before every level and after the last.
+func (x *Exec) fold(ctx context.Context, shards []shard, rank int) error {
+	for stride := 1; ; stride *= 2 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if stride >= len(shards) || shards[0].eng.db == nil {
+			break
+		}
 		var wg sync.WaitGroup
 		for i := 0; i+stride < len(shards); i += 2 * stride {
 			wg.Add(1)

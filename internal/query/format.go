@@ -122,15 +122,6 @@ func (e *Engine) Write(w io.Writer, rows []snapshot.FlatRecord) error {
 	return fmt.Errorf("query: unknown format %q", e.q.Format.Kind)
 }
 
-// Execute runs the full pipeline and writes formatted output.
-func (e *Engine) Execute(w io.Writer) error {
-	rows, err := e.Results()
-	if err != nil {
-		return err
-	}
-	return e.Write(w, rows)
-}
-
 func writeTable(w io.Writer, q *calql.Query, rows []snapshot.FlatRecord) error {
 	cols := columnsFor(q, rows)
 	if len(cols) == 0 {

@@ -27,6 +27,7 @@ package query
 //     attributes, and LET sources and names.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -466,23 +467,38 @@ func indexFallback(err error) string {
 // node sink; a query has no use for one and passes nil. Returns the
 // records decoded and bytes read.
 func (p *ScanPlan) ScanUnit(eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
+	return p.scanUnit(context.Background(), eng, u, reg, tree)
+}
+
+// scanUnit is ScanUnit under ctx, which drain polls.
+func (p *ScanPlan) scanUnit(ctx context.Context, eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, error) {
 	switch u.cacheMode {
 	case cacheHitMode:
-		return p.scanCacheHit(eng, u, reg, tree)
+		return p.scanCacheHit(ctx, eng, u, reg, tree)
 	case cacheIncrMode:
-		return p.scanCacheIncr(eng, u, reg, tree)
+		return p.scanCacheIncr(ctx, eng, u, reg, tree)
 	case cacheMissMode:
-		return p.scanCacheMiss(eng, u, reg, tree)
+		return p.scanCacheMiss(ctx, eng, u, reg, tree)
 	}
-	n, bytes, _, err := p.scanUnitInto(eng, eng, u, reg, tree)
+	n, bytes, _, err := p.scanUnitInto(ctx, eng, eng, u, reg, tree)
 	return n, bytes, err
 }
 
 // drain feeds every record rd yields, up to its limit or EOF, through the
 // engine and returns how many there were. rec is the one record decoded
 // into, reused across calls. name labels a decode error with its input.
-func drain(rd *calformat.Reader, eng *Engine, rec *snapshot.FlatRecord, name string) (int, error) {
+// Every 1024 records it polls ctx: cancelled, it returns ctx.Err(), never
+// an early EOF whose partial state a cache miss would store.
+func drain(ctx context.Context, rd *calformat.Reader, eng *Engine, rec *snapshot.FlatRecord, name string) (int, error) {
+	done := ctx.Done() // nil when ctx cannot be cancelled: the poll is free
 	for n := 0; ; n++ {
+		if n&1023 == 0 {
+			select {
+			case <-done:
+				return n, ctx.Err()
+			default:
+			}
+		}
 		err := rd.NextInto(rec)
 		if err == io.EOF {
 			return n, nil
@@ -501,7 +517,7 @@ func drain(rd *calformat.Reader, eng *Engine, rec *snapshot.FlatRecord, name str
 // is eng itself unless the aggregate cache interposed a per-file one. The
 // extra return is the reader's final byte offset — the watermark a stored
 // cache entry covers.
-func (p *ScanPlan) scanUnitInto(own, eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, int64, error) {
+func (p *ScanPlan) scanUnitInto(ctx context.Context, own, eng *Engine, u Unit, reg *attr.Registry, tree *contexttree.Tree) (int, int64, int64, error) {
 	src := u.stream
 	if src == nil {
 		f, err := os.Open(u.File)
@@ -519,7 +535,7 @@ func (p *ScanPlan) scanUnitInto(own, eng *Engine, u Unit, reg *attr.Registry, tr
 	var rec snapshot.FlatRecord
 	if u.Idx == nil {
 		// no index: the whole input is one live run, to EOF
-		records, err := drain(rd, eng, &rec, u.File)
+		records, err := drain(ctx, rd, eng, &rec, u.File)
 		return records, rd.Offset(), rd.Offset(), err
 	}
 
@@ -575,7 +591,7 @@ func (p *ScanPlan) scanUnitInto(own, eng *Engine, u Unit, reg *attr.Registry, tr
 			}
 		case actFull:
 			rd.SetLimit(runEnd)
-			n, err := drain(rd, eng, &rec, u.File)
+			n, err := drain(ctx, rd, eng, &rec, u.File)
 			records += n
 			if err != nil {
 				return records, 0, 0, err

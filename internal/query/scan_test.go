@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,7 +69,7 @@ func runRows(t *testing.T, queryText string, files []string, jobs int, opts Scan
 		t.Fatal(err)
 	}
 	x := NewExec(q, opts, Sharded, nil)
-	eng, _, _, err := x.Local(attr.NewRegistry(), Input{Files: files}, jobs, 0)
+	eng, _, _, err := x.Local(context.Background(), attr.NewRegistry(), Input{Files: files}, jobs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package caligo
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -55,7 +56,7 @@ func TestEndpointSmoke(t *testing.T) {
 		"aggregate.ops": "count,sum(time.duration)",
 	})
 	const queryText = "AGGREGATE sum(aggregate.count), sum(sum#time.duration) GROUP BY kernel"
-	res, err := calql.QueryFilesJobsOpt(queryText, files, 4, calql.Options{})
+	res, err := calql.Run(context.Background(), queryText, files, calql.Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
