@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test test-race loc bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke check clean
+.PHONY: build fmt vet test test-race loc bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke check clean
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ test-race:
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
 	echo "calql + internal/query + internal/pquery: $$(count calql internal/query internal/pquery)"; \
-	echo "observability (telemetry trace obs obs/history prof): $$(count internal/telemetry internal/trace internal/obs internal/prof)"; \
+	echo "observability (telemetry trace obs prof): $$(count internal/telemetry internal/trace internal/obs internal/prof)"; \
 	echo "total: $$(count . -path ./bench -prune -o)"
 
 # bench/ is a module of its own that `go build ./...` and `go test ./...`
@@ -48,14 +48,12 @@ bench-smoke:
 QUERY_BENCH = QueryFilesSharded|WhereCompiled|WhereEvalCondition|SortRows|BenchmarkMerge|IndexedScan|CachedQuery|TableIScheme|Figure4Ranks|AblationReduceFanin
 QUERY_PKGS = ./calql/ ./internal/query/ ./internal/core/ .
 
-# Measure the observability overhead paths — the span tracer and the
-# telemetry-history recorder (enabled and disabled) — and record the
-# results as machine-readable JSON; the disabled paths must report
-# 0 allocs/op.
+# Measure the observability overhead path — the span tracer, enabled and
+# disabled — and record the results as machine-readable JSON; the
+# disabled path must report 0 allocs/op.
 bench-json:
 	@if [ -f BENCH_trace.json ]; then cp BENCH_trace.json BENCH_trace.prev.json; fi
-	$(GO) test -run '^$$' -bench 'BenchmarkTraceOverhead|BenchmarkHistoryCapture' -benchmem \
-		./internal/trace/ ./internal/obs/history/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkTraceOverhead' -benchmem ./internal/trace/ \
 		| $(GO) run ./cmd/benchjson > BENCH_trace.json
 	@cat BENCH_trace.json
 	@if [ -f BENCH_query.json ]; then cp BENCH_query.json BENCH_query.prev.json; fi
@@ -74,8 +72,7 @@ bench-calibrate:
 	@rm -f BENCH_run.*.json
 	@for i in $$(seq $(CALIBRATE_RUNS)); do \
 		echo "calibration run $$i/$(CALIBRATE_RUNS)"; \
-		{ $(GO) test -run '^$$' -bench 'BenchmarkTraceOverhead|BenchmarkHistoryCapture' -benchmem \
-			./internal/trace/ ./internal/obs/history/; \
+		{ $(GO) test -run '^$$' -bench 'BenchmarkTraceOverhead' -benchmem ./internal/trace/; \
 		  $(GO) test -run '^$$' -bench '$(QUERY_BENCH)' -benchmem $(QUERY_PKGS); } \
 			| $(GO) run ./cmd/benchjson > BENCH_run.$$i.json || exit 1; \
 	done
@@ -105,7 +102,7 @@ bench-compare:
 # Run the fuzz targets over their seed corpora only (no fuzzing time);
 # regressions on checked-in seeds fail fast.
 fuzz-seed:
-	$(GO) test -run Fuzz ./internal/calql ./internal/calformat ./internal/core ./internal/obs/history ./internal/prof ./internal/query
+	$(GO) test -run Fuzz ./internal/calql ./internal/calformat ./internal/core ./internal/prof ./internal/query
 
 # Self-profiling smoke test: capture a 1s CPU window of the test process,
 # convert it to .cali, and answer the flagship flame question with CalQL
@@ -126,22 +123,13 @@ index-smoke:
 cache-smoke:
 	$(GO) test -run 'TestCache' -count=1 ./calql/
 
-# Telemetry-history smoke test: record windows into the on-disk ring,
-# prove the CalQL time-series over the ring is byte-identical to an
-# offline aggregation of the same records, and prove the cluster-merged
-# view equals a hand-merged union of per-rank scrapes (counters sum,
-# histogram bins and quantiles match a bin-wise merge).
-history-smoke:
-	$(GO) test -run 'TestHistoryCalQLEquality|TestClusterViewEqualsHandMergedScrapes' -count=1 ./internal/obs/history/
-
 # Ops-surface smoke test: start ServeDebug, run a sharded query, scrape
-# /debug/metrics, /debug/queries, /debug/log, /debug/history, and
-# /debug/cluster over HTTP, and validate the bodies with the same
-# parsers cali-top uses.
+# /debug/metrics, /debug/queries and /debug/log over HTTP, and validate
+# the bodies with the same parsers cali-top uses.
 smoke:
 	$(GO) test -run TestEndpointSmoke -count=1 .
 
-check: build fmt vet test bench-module fuzz-seed smoke prof-smoke index-smoke cache-smoke history-smoke
+check: build fmt vet test bench-module fuzz-seed smoke prof-smoke index-smoke cache-smoke
 
 clean:
 	$(GO) clean ./...

@@ -7,11 +7,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
 
 	"caligo/internal/obs"
-	"caligo/internal/obs/history"
 	"caligo/internal/telemetry"
 	"caligo/internal/trace"
 )
@@ -75,10 +73,6 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 //	/debug/telemetry   — plain-text report of the internal telemetry registry
 //	/debug/trace       — buffered trace spans as Chrome trace-event JSON
 //	/debug/selfprofile — self-profiling as .cali data (see selfProfileHandler)
-//	/debug/history     — retained telemetry windows as JSON
-//	                     (?window=N keeps the last N, ?rank=R filters by rank)
-//	/debug/cluster     — cluster-wide telemetry view from the latest
-//	                     telemetry-reduction epoch as JSON
 //	/debug/vars        — expvar JSON, including the "caligo.telemetry" var
 //	/debug/pprof/      — the standard net/http/pprof profiling handlers
 //
@@ -111,48 +105,12 @@ func DebugHandler() http.Handler {
 		trace.WriteTrace(w)
 	}))
 	mux.HandleFunc("/debug/selfprofile", getOnly(selfProfileHandler))
-	mux.HandleFunc("/debug/history", getOnly(historyHandler))
-	mux.HandleFunc("/debug/cluster", getOnly(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		history.WriteClusterJSON(w)
-	}))
 	mux.HandleFunc("/debug/pprof/", getOnly(pprof.Index))
 	mux.HandleFunc("/debug/pprof/cmdline", getOnly(pprof.Cmdline))
 	mux.HandleFunc("/debug/pprof/profile", getOnly(pprof.Profile))
 	mux.HandleFunc("/debug/pprof/symbol", getOnly(pprof.Symbol))
 	mux.HandleFunc("/debug/pprof/trace", getOnly(pprof.Trace))
 	return mux
-}
-
-// historyHandler serves the retained telemetry windows of the process's
-// history recorder as JSON. ?window=N keeps only the most recent N
-// windows; ?rank=R keeps only windows stamped with rank R. Without a
-// running recorder it serves an empty document (the endpoint shape stays
-// scrape-friendly either way).
-func historyHandler(w http.ResponseWriter, r *http.Request) {
-	lastN, rank := 0, -1
-	if v := r.URL.Query().Get("window"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad ?window= (want a non-negative integer)", http.StatusBadRequest)
-			return
-		}
-		lastN = n
-	}
-	if v := r.URL.Query().Get("rank"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad ?rank= (want a non-negative integer)", http.StatusBadRequest)
-			return
-		}
-		rank = n
-	}
-	var windows []history.Window
-	if rec := historyRecorder(); rec != nil {
-		windows = history.FilterWindows(rec.Windows(), lastN, rank)
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	history.WriteWindowsJSON(w, windows)
 }
 
 // ServeDebug starts an HTTP debug endpoint on addr serving the

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"caligo/internal/obs"
 	"caligo/internal/telemetry"
@@ -177,123 +176,6 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	})
 }
 
-// TestDebugHistoryAndClusterEndpoints covers the telemetry-history
-// JSON endpoints: the retained-window timeline (with ?window= / ?rank=
-// filters) and the cluster-wide merged view.
-func TestDebugHistoryAndClusterEndpoints(t *testing.T) {
-	prevTel := telemetry.SetEnabled(true)
-	t.Cleanup(func() { telemetry.SetEnabled(prevTel) })
-	reg := telemetry.NewRegistry()
-	if err := StartHistory(HistoryOptions{
-		Dir: t.TempDir(), Interval: time.Hour, Rank: 2, Registry: reg,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(StopHistory)
-	c := reg.Counter("debugtest.history.events")
-	rec := HistoryRecorder()
-	for i := 0; i < 2; i++ {
-		c.Add(5)
-		if _, err := rec.CaptureNow(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	srv := httptest.NewServer(DebugHandler())
-	defer srv.Close()
-
-	get := func(path string) (int, string, string) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: read body: %v", path, err)
-		}
-		return resp.StatusCode, string(body), resp.Header.Get("Content-Type")
-	}
-	type windowsDoc struct {
-		Count   int `json:"count"`
-		Windows []struct {
-			Rank    int `json:"rank"`
-			Metrics []struct {
-				Name  string `json:"name"`
-				Delta uint64 `json:"delta"`
-			} `json:"metrics"`
-		} `json:"windows"`
-	}
-	getDoc := func(path string) windowsDoc {
-		t.Helper()
-		code, body, ctype := get(path)
-		if code != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, code)
-		}
-		if !strings.HasPrefix(ctype, "application/json") {
-			t.Errorf("GET %s: content type %q", path, ctype)
-		}
-		var doc windowsDoc
-		if err := json.Unmarshal([]byte(body), &doc); err != nil {
-			t.Fatalf("GET %s: bad JSON: %v\n%s", path, err, body)
-		}
-		return doc
-	}
-
-	t.Run("history", func(t *testing.T) {
-		doc := getDoc("/debug/history")
-		if doc.Count != 2 || len(doc.Windows) != 2 {
-			t.Fatalf("count/windows = %d/%d, want 2/2", doc.Count, len(doc.Windows))
-		}
-		w := doc.Windows[0]
-		if w.Rank != 2 {
-			t.Errorf("window rank = %d, want 2", w.Rank)
-		}
-		if len(w.Metrics) != 1 || w.Metrics[0].Name != "debugtest.history.events" || w.Metrics[0].Delta != 5 {
-			t.Errorf("window metrics = %+v", w.Metrics)
-		}
-	})
-
-	t.Run("history filters", func(t *testing.T) {
-		if doc := getDoc("/debug/history?window=1"); doc.Count != 1 {
-			t.Errorf("?window=1 count = %d, want 1", doc.Count)
-		}
-		if doc := getDoc("/debug/history?rank=2"); doc.Count != 2 {
-			t.Errorf("?rank=2 count = %d, want 2", doc.Count)
-		}
-		if doc := getDoc("/debug/history?rank=99"); doc.Count != 0 {
-			t.Errorf("?rank=99 count = %d, want 0", doc.Count)
-		}
-		for _, q := range []string{"?window=x", "?window=-1", "?rank=x", "?rank=-2"} {
-			if code, _, _ := get("/debug/history" + q); code != http.StatusBadRequest {
-				t.Errorf("GET /debug/history%s: status %d, want 400", q, code)
-			}
-		}
-	})
-
-	t.Run("cluster", func(t *testing.T) {
-		code, body, ctype := get("/debug/cluster")
-		if code != http.StatusOK {
-			t.Fatalf("status %d", code)
-		}
-		if !strings.HasPrefix(ctype, "application/json") {
-			t.Errorf("content type %q", ctype)
-		}
-		var doc struct {
-			Ranks       int              `json:"ranks"`
-			SlowestRank *int             `json:"slowest_rank"`
-			Metrics     []map[string]any `json:"metrics"`
-		}
-		if err := json.Unmarshal([]byte(body), &doc); err != nil {
-			t.Fatalf("cluster body is not valid JSON: %v\n%s", err, body)
-		}
-		if doc.SlowestRank == nil || doc.Metrics == nil {
-			t.Errorf("cluster document missing slowest_rank/metrics fields:\n%s", body)
-		}
-	})
-}
-
 // TestDebugHandlerMethodNotAllowed: every endpoint is GET-only.
 func TestDebugHandlerMethodNotAllowed(t *testing.T) {
 	srv := httptest.NewServer(DebugHandler())
@@ -301,7 +183,7 @@ func TestDebugHandlerMethodNotAllowed(t *testing.T) {
 	for _, path := range []string{
 		"/debug/metrics", "/debug/queries", "/debug/log",
 		"/debug/telemetry", "/debug/trace", "/debug/vars", "/debug/pprof/",
-		"/debug/selfprofile", "/debug/history", "/debug/cluster",
+		"/debug/selfprofile",
 	} {
 		resp, err := http.Post(srv.URL+path, "text/plain", strings.NewReader("x"))
 		if err != nil {

@@ -236,7 +236,11 @@ func (ch *Channel) OutputRecords() int {
 			return 0
 		}
 		for _, t := range ch.threadsSnapshot() {
-			if err := merged.Merge(agg.state(t).db); err != nil {
+			// under the thread lock: a sampler may still be snapshotting
+			t.lock()
+			err := merged.Merge(agg.state(t).db)
+			t.unlock()
+			if err != nil {
 				return 0
 			}
 		}
@@ -299,7 +303,9 @@ func (ch *Channel) TraceLength() int {
 			continue
 		}
 		for _, t := range ch.threadsSnapshot() {
+			t.lock()
 			n += len(ts.state(t).records)
+			t.unlock()
 		}
 	}
 	return n

@@ -1,10 +1,13 @@
 package caligo
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,9 +15,8 @@ import (
 	"strings"
 	"testing"
 
-	_ "caligo/caliper"
+	"caligo/caliper"
 	_ "caligo/calql"
-	_ "caligo/internal/obs/history"
 	_ "caligo/internal/prof"
 	_ "caligo/internal/rnet"
 	"caligo/internal/telemetry"
@@ -47,6 +49,46 @@ func TestMetricCatalogue(t *testing.T) {
 	for _, name := range documented {
 		if _, found := slices.BinarySearch(registered, name); !found {
 			t.Errorf("docs/OBSERVABILITY.md catalogues %s, which nothing registers", name)
+		}
+	}
+}
+
+// TestDebugEndpointCatalogue: every /debug path in the endpoint list of
+// docs/OBSERVABILITY.md is a route of caliper.DebugHandler, and the routes
+// of the removed telemetry-history subsystem answer 404. A route is looked
+// up in the mux rather than judged by a GET's status, since
+// /debug/selfprofile itself answers 404 while no self-profiler runs.
+func TestDebugEndpointCatalogue(t *testing.T) {
+	doc, err := os.ReadFile("docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.Index(doc, []byte("serves, on its own mux"))
+	end := bytes.Index(doc, []byte("Every endpoint is GET-only"))
+	if start < 0 || end < start {
+		t.Fatal("docs/OBSERVABILITY.md: endpoint list not found")
+	}
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^- `(/debug/[a-z/]*)").FindAllSubmatch(doc[start:end], -1) {
+		documented = append(documented, string(m[1]))
+	}
+	if len(documented) < 5 {
+		t.Fatalf("endpoint list names only %v", documented)
+	}
+	mux, ok := caliper.DebugHandler().(*http.ServeMux)
+	if !ok {
+		t.Fatal("DebugHandler is not an *http.ServeMux")
+	}
+	for _, path := range documented {
+		if _, pattern := mux.Handler(httptest.NewRequest(http.MethodGet, path, nil)); pattern == "" {
+			t.Errorf("docs/OBSERVABILITY.md lists %s, which DebugHandler does not route", path)
+		}
+	}
+	for _, path := range []string{"/debug/history", "/debug/cluster"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, rec.Code)
 		}
 	}
 }

@@ -51,7 +51,6 @@ func run(args []string) error {
 	logFormat := fs.String("log", "", "structured logging to stderr: \"json\" or \"text\" (implies telemetry for query attribution)")
 	slowThreshold := fs.Duration("slow", 0, "slow-query log threshold, e.g. 500ms (0 keeps the 1s default; implies -log text if no -log)")
 	debugAddr := fs.String("debug", "", "serve /debug endpoints (metrics, queries, log, pprof) on this address for the run's duration")
-	historyDir := fs.String("history", "", "record telemetry-history windows as .cali files into this directory (implies telemetry)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: cali-query [flags] file.cali [file2.cali ...]\n\n")
 		fs.PrintDefaults()
@@ -106,15 +105,6 @@ func run(args []string) error {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s/debug/ (metrics, queries, log, pprof)\n", srv.Addr())
-	}
-	if *historyDir != "" {
-		telemetry.Enable()
-		if err := caliper.StartHistory(caliper.HistoryOptions{Dir: *historyDir}); err != nil {
-			return err
-		}
-		// the final tail window lands at stop, so even a short run
-		// leaves a queryable timeline behind
-		defer caliper.StopHistory()
 	}
 	res, err := calql.Run(context.Background(), *queryText, files, calql.Options{
 		Jobs:    cmp.Or(max(*jobs, 0), -1), // -j 0: one worker per CPU

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"caligo/internal/obs"
-	"caligo/internal/obs/history"
 )
 
 func main() {
@@ -43,7 +42,6 @@ func run(args []string) error {
 	count := fs.Int("n", 0, "exit after this many refreshes (0 = run until interrupted)")
 	once := fs.Bool("once", false, "single scrape: print cumulative totals as a plain table and exit")
 	queries := fs.Int("queries", 10, "number of recent queries to show")
-	histMode := fs.Bool("history", false, "telemetry-history mode: render per-metric sparklines from /debug/history")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: cali-top [flags] host:port\n\n")
 		fs.PrintDefaults()
@@ -68,18 +66,13 @@ func run(args []string) error {
 		base:    target,
 		client:  &http.Client{Timeout: 10 * time.Second},
 		queries: *queries,
-		history: *histMode,
 	}
 	if *once {
 		cur, err := mon.scrape()
 		if err != nil {
 			return err
 		}
-		if mon.history {
-			mon.renderHistory(os.Stdout, cur)
-		} else {
-			mon.renderOnce(os.Stdout, cur)
-		}
+		mon.renderOnce(os.Stdout, cur)
 		return nil
 	}
 	prev, err := mon.scrape()
@@ -95,11 +88,7 @@ func run(args []string) error {
 		// ANSI clear-screen + home; a plain scrolling dump on terminals
 		// that ignore escapes
 		fmt.Print("\x1b[2J\x1b[H")
-		if mon.history {
-			mon.renderHistory(os.Stdout, cur)
-		} else {
-			mon.render(os.Stdout, prev, cur)
-		}
+		mon.render(os.Stdout, prev, cur)
 		prev = cur
 	}
 	return nil
@@ -110,15 +99,12 @@ type scrapeState struct {
 	at      time.Time
 	metrics *obs.Metrics
 	queries *obs.QueryStatsDoc
-	windows *history.WindowsDoc // -history mode only
-	cluster *history.ClusterView
 }
 
 type monitor struct {
 	base    string
 	client  *http.Client
 	queries int
-	history bool
 }
 
 func (m *monitor) scrape() (*scrapeState, error) {
@@ -148,18 +134,6 @@ func (m *monitor) scrape() (*scrapeState, error) {
 	resp.Body.Close()
 	if err != nil {
 		return nil, fmt.Errorf("parse /debug/queries: %w", err)
-	}
-	// Cluster view is best-effort: the endpoint serves an empty view
-	// until a telemetry-reduction epoch has run, and older servers may
-	// not have the route at all.
-	if cl, err := m.fetchCluster(); err == nil {
-		st.cluster = cl
-	}
-	if m.history {
-		st.windows, err = m.fetchHistory()
-		if err != nil {
-			return nil, err
-		}
 	}
 	return st, nil
 }
@@ -239,7 +213,6 @@ func (m *monitor) render(w *os.File, prev, cur *scrapeState) {
 			rate(prev, cur, "caligo_rnet_epochs"), pending,
 			humanNS(value(cur, "caligo_rnet_sync_lag_ns")))
 	}
-	renderClusterLine(w, cur)
 	renderIndexLine(w, cur)
 	renderCacheLine(w, cur)
 	fmt.Fprintln(w)
@@ -280,7 +253,6 @@ func (m *monitor) renderOnce(w *os.File, cur *scrapeState) {
 			value(cur, "caligo_rnet_epochs"), pending,
 			humanNS(value(cur, "caligo_rnet_sync_lag_ns")))
 	}
-	renderClusterLine(w, cur)
 	renderIndexLine(w, cur)
 	renderCacheLine(w, cur)
 	fmt.Fprintln(w)

@@ -9,7 +9,6 @@ import (
 
 	"caligo/caliper"
 	"caligo/internal/obs"
-	"caligo/internal/obs/history"
 	"caligo/internal/telemetry"
 	"caligo/internal/trace"
 )
@@ -53,57 +52,6 @@ func TestRate(t *testing.T) {
 			t.Fatalf("rate over zero interval = %v, want 0", got)
 		}
 	})
-}
-
-func TestSparkline(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		vals []float64
-		want string
-	}{
-		{"empty", nil, ""},
-		{"flat", []float64{5, 5, 5}, "▁▁▁"},
-		{"ramp", []float64{0, 1, 2, 3, 4, 5, 6, 7}, "▁▂▃▄▅▆▇█"},
-		{"spike", []float64{0, 0, 10, 0}, "▁▁█▁"},
-	} {
-		if got := sparkline(tc.vals); got != tc.want {
-			t.Errorf("%s: sparkline(%v) = %q, want %q", tc.name, tc.vals, got, tc.want)
-		}
-	}
-}
-
-func TestBuildSeriesAlignsAbsentMetrics(t *testing.T) {
-	windows := []history.Window{
-		{Start: 0, Dur: 1e9, Metrics: []history.WindowMetric{
-			{Name: "a", Kind: "counter", Delta: 3},
-		}},
-		{Start: 1e9, Dur: 1e9, Metrics: []history.WindowMetric{
-			{Name: "a", Kind: "counter", Delta: 5},
-			{Name: "b", Kind: "gauge", Value: -2},
-		}},
-		{Start: 2e9, Dur: 1e9, Metrics: []history.WindowMetric{
-			{Name: "b", Kind: "gauge", Value: 4},
-		}},
-	}
-	series := buildSeries(windows)
-	if len(series) != 2 {
-		t.Fatalf("got %d series, want 2", len(series))
-	}
-	// sorted by name; every series spans all windows, zero where absent
-	a, b := series[0], series[1]
-	if a.name != "a" || b.name != "b" {
-		t.Fatalf("series order = %q, %q", a.name, b.name)
-	}
-	wantA := []float64{3, 5, 0}
-	wantB := []float64{0, -2, 4}
-	for i := range wantA {
-		if a.vals[i] != wantA[i] {
-			t.Errorf("a.vals[%d] = %v, want %v", i, a.vals[i], wantA[i])
-		}
-		if b.vals[i] != wantB[i] {
-			t.Errorf("b.vals[%d] = %v, want %v", i, b.vals[i], wantB[i])
-		}
-	}
 }
 
 // TestCaliTopOnce runs a single-scrape -once pass against a live debug

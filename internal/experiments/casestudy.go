@@ -507,39 +507,3 @@ func figure9From(cfg CaseStudyConfig, reg *attr.Registry, recs []snapshot.FlatRe
 	}
 	return rep, nil
 }
-
-// CaseStudy runs Figures 8 and 9 off one shared scheme-C profile and
-// Figures 5-7 off their dedicated runs, returning all reports.
-func CaseStudy(cfg CaseStudyConfig) ([]*Report, error) {
-	var out []*Report
-	f5, err := Figure5(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f5)
-	f6, err := Figure6(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f6)
-	f7, err := Figure7(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f7)
-	reg, recs, err := caseStudyFullProfile(cfg)
-	if err != nil {
-		return nil, err
-	}
-	f8, err := figure8From(cfg, reg, recs)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f8)
-	f9, err := figure9From(cfg, reg, recs)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, f9)
-	return out, nil
-}

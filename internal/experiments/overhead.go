@@ -185,15 +185,6 @@ func RunOverheadStudy(cfg OverheadConfig) ([]OverheadRow, error) {
 	return rows, nil
 }
 
-// Figure3 runs the overhead study and formats it as the paper's Figure 3.
-func Figure3(cfg OverheadConfig) (*Report, error) {
-	rows, err := RunOverheadStudy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Figure3FromRows(rows)
-}
-
 // Figure3FromRows formats pre-measured overhead rows as Figure 3
 // (cmd/experiments measures once for both Figure 3 and Table I).
 func Figure3FromRows(rows []OverheadRow) (*Report, error) {
@@ -247,16 +238,6 @@ func Figure3FromRows(rows []OverheadRow) (*Report, error) {
 		float64(get("scheme C (event)").Min) >= float64(get("scheme B (event)").Min)*0.95,
 		"C=%v B=%v", get("scheme C (event)").Min, get("scheme B (event)").Min)
 	return r, nil
-}
-
-// TableI runs the overhead study and formats the paper's Table I:
-// snapshots and output records per process for each configuration.
-func TableI(cfg OverheadConfig) (*Report, error) {
-	rows, err := RunOverheadStudy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return TableIFromRows(rows), nil
 }
 
 // TableIFromRows formats pre-measured rows (shared with cmd/experiments,

@@ -268,10 +268,6 @@ const (
 	tagBcast   = -2_000_000
 	tagReduce  = -3_000_000
 	tagGather  = -4_000_000
-	// tagReduceTel reserves a second reduction tag space for the
-	// telemetry-reduction epoch, keeping observability traffic and
-	// application data reductions un-confusable on one communicator.
-	tagReduceTel = -5_000_000
 )
 
 // Barrier synchronizes all ranks using the dissemination algorithm
@@ -359,7 +355,7 @@ func (c *Comm) Reduce(root int, data []byte, combine Combine) ([]byte, error) {
 // reduction-tree arity.
 func (c *Comm) ReduceFanin(root int, data []byte, combine Combine, fanin int) ([]byte, error) {
 	acc := data
-	err := c.fold(root, fanin, tagReduce, func(got []byte) (err error) {
+	err := c.ReduceFold(root, fanin, func(got []byte) (err error) {
 		acc, err = combine(acc, got)
 		return err
 	}, func() []byte { return acc })
@@ -378,19 +374,6 @@ func (c *Comm) ReduceFanin(root int, data []byte, combine Combine, fanin int) ([
 // never asked for one. The tree is the fan-in-k generalization of the
 // binomial tree (fanin ≥ 2).
 func (c *Comm) ReduceFold(root, fanin int, absorb func([]byte) error, contribution func() []byte) error {
-	return c.fold(root, fanin, tagReduce, absorb, contribution)
-}
-
-// ReduceFoldTelemetry is ReduceFold over the dedicated telemetry tag
-// space, so a telemetry-reduction epoch (rnet.SyncTelemetry, pquery's
-// post-query epoch) can never collide with an application data reduction
-// even when both are in flight on the same communicator.
-func (c *Comm) ReduceFoldTelemetry(root, fanin int, absorb func([]byte) error, contribution func() []byte) error {
-	return c.fold(root, fanin, tagReduceTel, absorb, contribution)
-}
-
-// fold is the one walk of the reduction tree; see ReduceFold.
-func (c *Comm) fold(root, fanin, tagBase int, absorb func([]byte) error, contribution func() []byte) error {
 	p := c.world.size
 	if root < 0 || root >= p {
 		return fmt.Errorf("mpi: reduce: invalid root %d", root)
@@ -405,14 +388,14 @@ func (c *Comm) fold(root, fanin, tagBase int, absorb func([]byte) error, contrib
 	for stride := 1; stride < p; stride *= fanin {
 		if digit := (vrank / stride) % fanin; digit != 0 {
 			parent := (vrank - digit*stride + root) % p
-			return c.Send(parent, tagBase-stride, contribution())
+			return c.Send(parent, tagReduce-stride, contribution())
 		}
 		for d := 1; d < fanin; d++ {
 			childV := vrank + d*stride
 			if childV >= p {
 				break
 			}
-			got, _, err := c.Recv((childV+root)%p, tagBase-stride)
+			got, _, err := c.Recv((childV+root)%p, tagReduce-stride)
 			if err != nil {
 				return err
 			}

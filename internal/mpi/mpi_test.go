@@ -311,29 +311,21 @@ func TestReduceFaninVariants(t *testing.T) {
 // TestReduceFold: every rank folds its children into a counter it owns.
 // Each rank but the root contributes exactly once, after its last absorb;
 // the root is never asked to; the root's counter ends up as the sum; and an
-// absorb error stops the rank. The telemetry variant walks the same tree on
-// its own tags, so the two can be in flight together.
+// absorb error stops the rank.
 func TestReduceFold(t *testing.T) {
 	for _, fanin := range []int{2, 3, 8} {
 		for _, p := range []int{1, 2, 5, 16, 27} {
 			for _, root := range []int{0, p - 1} {
 				w, _ := NewWorld(p)
 				err := w.Run(func(c *Comm) error {
-					sum, telSum := uint64(c.Rank()+1), uint64(1)
+					sum := uint64(c.Rank() + 1)
 					contributed, absorbedAfter := 0, false
-					absorbInto := func(dst *uint64) func([]byte) error {
-						return func(b []byte) error {
-							absorbedAfter = contributed > 0
-							*dst += binary.LittleEndian.Uint64(b)
-							return nil
-						}
+					absorb := func(b []byte) error {
+						absorbedAfter = contributed > 0
+						sum += binary.LittleEndian.Uint64(b)
+						return nil
 					}
-					// the telemetry contribution is sent first and absorbed last
-					err := c.ReduceFoldTelemetry(root, fanin, absorbInto(&telSum), func() []byte { return u64(telSum) })
-					if err != nil {
-						return err
-					}
-					err = c.ReduceFold(root, fanin, absorbInto(&sum), func() []byte {
+					err := c.ReduceFold(root, fanin, absorb, func() []byte {
 						contributed++
 						return u64(sum)
 					})
@@ -352,8 +344,8 @@ func TestReduceFold(t *testing.T) {
 					if contributed != 0 {
 						return fmt.Errorf("the root was asked for a contribution")
 					}
-					if want := uint64(p * (p + 1) / 2); sum != want || telSum != uint64(p) {
-						return fmt.Errorf("sum = %d, want %d; telemetry sum = %d, want %d", sum, want, telSum, p)
+					if want := uint64(p * (p + 1) / 2); sum != want {
+						return fmt.Errorf("sum = %d, want %d", sum, want)
 					}
 					return nil
 				})

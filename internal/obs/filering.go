@@ -12,8 +12,7 @@ import (
 
 // FileRing is a bounded on-disk retention ring: the newest max files
 // <dir>/<prefix>-*.cali, oldest first. The self-profiler (internal/prof)
-// and the telemetry-history recorder (internal/obs/history) embed one to
-// hold the .cali files they write.
+// embeds one to hold the .cali files it writes.
 type FileRing struct {
 	mu    sync.Mutex
 	max   int

@@ -30,15 +30,8 @@ import (
 // deployments).
 var logEnabled atomic.Bool
 
-// LogEnabled reports whether structured logging is on.
-func LogEnabled() bool { return logEnabled.Load() }
-
 // EnableLogging turns structured logging on.
 func EnableLogging() { logEnabled.Store(true) }
-
-// DisableLogging turns structured logging off. Flight-recorder contents
-// are retained and remain dumpable.
-func DisableLogging() { logEnabled.Store(false) }
 
 // SetLogEnabled sets the logging kill switch and returns the previous
 // state, for scoped enablement in tests and tools.

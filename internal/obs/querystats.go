@@ -90,9 +90,6 @@ func SetSlowQueryThreshold(d time.Duration) time.Duration {
 	return time.Duration(slowThresholdNS.Swap(int64(d)))
 }
 
-// SlowQueryThreshold returns the current slow-query threshold.
-func SlowQueryThreshold() time.Duration { return time.Duration(slowThresholdNS.Load()) }
-
 // queryLog is the bounded most-recently-finished query table plus the
 // currently-running set.
 type queryLog struct {

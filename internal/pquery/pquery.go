@@ -195,15 +195,6 @@ func runRank(ctx context.Context, c *mpi.Comm, x *query.Exec, fanin int, input f
 			TotalVirt:  c.Clock(),
 		}
 	}
-	// After the data reduction, run one telemetry-reduction epoch over the
-	// dedicated tag space: per-rank query stats merge into the cluster-wide
-	// observability view (/debug/cluster). Gated on the process-global
-	// telemetry switch, so the collective stays uniform across ranks.
-	if telemetry.Enabled() {
-		if err := telemetryEpoch(c, fanin, processed, localWall); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 

@@ -12,9 +12,7 @@ import (
 	"caligo/internal/calql"
 	"caligo/internal/contexttree"
 	"caligo/internal/mpi"
-	"caligo/internal/obs/history"
 	"caligo/internal/snapshot"
-	"caligo/internal/telemetry"
 )
 
 // genDataset builds a per-rank .cali stream with deterministic content:
@@ -345,62 +343,5 @@ func TestParallelInclusiveSum(t *testing.T) {
 		if res.Rows[i].String() != want[i].String() {
 			t.Errorf("row %d:\n parallel %s\n serial   %s", i, res.Rows[i], want[i])
 		}
-	}
-}
-
-// TestTelemetryEpochPublishesClusterView checks the observability side
-// channel of a parallel query: with telemetry enabled, Run reduces each
-// rank's query stats over the telemetry tag space and the root publishes
-// a cluster view where the caligo.pquery.records counter sums to the
-// total records processed.
-func TestTelemetryEpochPublishesClusterView(t *testing.T) {
-	prev := telemetry.SetEnabled(true)
-	t.Cleanup(func() { telemetry.SetEnabled(prev) })
-	history.PublishCluster(nil)
-
-	const ranks, records = 4, 60
-	world, err := mpi.NewWorld(ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(world, "AGGREGATE count GROUP BY kernel", memProvider(records))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RecordsProcessed != ranks*records {
-		t.Fatalf("RecordsProcessed = %d, want %d", res.RecordsProcessed, ranks*records)
-	}
-
-	view := history.LatestCluster()
-	if view == nil {
-		t.Fatal("parallel query with telemetry enabled published no cluster view")
-	}
-	if view.Ranks != ranks {
-		t.Errorf("view.Ranks = %d, want %d", view.Ranks, ranks)
-	}
-	var found bool
-	for i := range view.Metrics {
-		m := &view.Metrics[i]
-		if m.Name != "caligo.pquery.records" {
-			continue
-		}
-		found = true
-		if m.Delta != uint64(ranks*records) {
-			t.Errorf("cluster caligo.pquery.records = %d, want %d", m.Delta, ranks*records)
-		}
-		if len(m.Ranks) != ranks {
-			t.Errorf("rank breakdown has %d entries, want %d", len(m.Ranks), ranks)
-		}
-		for _, rv := range m.Ranks {
-			if rv.Delta != records {
-				t.Errorf("rank %d processed %d records, want %d", rv.Rank, rv.Delta, records)
-			}
-		}
-	}
-	if !found {
-		t.Error("cluster view missing caligo.pquery.records")
-	}
-	if view.SlowestRank < 0 || view.SlowestRank >= ranks {
-		t.Errorf("SlowestRank = %d, want a real rank", view.SlowestRank)
 	}
 }

@@ -267,8 +267,6 @@ func (x *Exec) fold(ctx context.Context, shards []shard, rank int) error {
 			go func(dst, src int) {
 				defer wg.Done()
 				sp := x.Span("query.merge", rank)
-				sp.ArgInt("dst", int64(dst))
-				sp.ArgInt("src", int64(src))
 				db := shards[dst].eng.db
 				if err := db.Merge(shards[src].eng.db); err != nil {
 					shards[dst].err = fmt.Errorf("query: merge shard %d into %d: %w", src, dst, err)

@@ -21,7 +21,6 @@ import (
 	"caligo/internal/attr"
 	"caligo/internal/core"
 	"caligo/internal/mpi"
-	"caligo/internal/obs/history"
 	"caligo/internal/snapshot"
 	"caligo/internal/telemetry"
 	"caligo/internal/trace"
@@ -61,13 +60,6 @@ type Node struct {
 	epochs   uint64
 	pushed   uint64
 	lastSync time.Time
-
-	// Telemetry-reduction state: hist is this rank's history recorder
-	// (nil without one); telGlobal is the root's cumulative cluster-wide
-	// telemetry database (nil elsewhere, created lazily).
-	hist      *history.Recorder
-	telGlobal *core.DB
-	telEpochs uint64
 }
 
 // Option configures a Node.
@@ -173,87 +165,6 @@ func (n *Node) Sync() (*core.DB, error) {
 	}
 	return n.global, nil
 }
-
-// WithHistory attaches the rank's telemetry-history recorder: each
-// SyncTelemetry epoch drains the recorder's pending window records into
-// the cluster-wide reduction.
-func WithHistory(rec *history.Recorder) Option {
-	return func(n *Node) { n.hist = rec }
-}
-
-// SyncTelemetry runs one telemetry-reduction epoch: every rank's buffered
-// history window records (counters as window deltas, gauges as samples,
-// histograms as bin sets) are aggregated into a cluster-scheme database,
-// tree-reduced over the dedicated telemetry tag space — so it can
-// interleave freely with data Syncs — and merged into the root's
-// cumulative cluster-wide telemetry view. The root publishes the merged
-// view (history.PublishCluster, served at /debug/cluster) and returns it;
-// other ranks get nil. Like Sync, SyncTelemetry is collective: every rank
-// must call it the same number of times. Ranks without a recorder
-// contribute an empty delta.
-func (n *Node) SyncTelemetry() (*history.ClusterView, error) {
-	sp := trace.BeginRank("rnet.sync.telemetry", n.comm.Rank())
-	defer sp.End()
-	telReg := attr.NewRegistry()
-	if n.hist != nil {
-		telReg = n.hist.Registry()
-	}
-	delta, err := core.NewDB(history.ClusterScheme(), telReg)
-	if err != nil {
-		return nil, err
-	}
-	if n.hist != nil {
-		for _, rec := range n.hist.TakePending() {
-			delta.Update(rec)
-		}
-	}
-	sp.ArgInt("epoch", int64(n.telEpochs))
-	// as in Sync: fold the children into this epoch's database, encode once
-	ship := func() []byte {
-		payload := delta.EncodeState()
-		telDeltaBytes.Add(uint64(len(payload)))
-		sp.ArgInt("bytes", int64(len(payload)))
-		return payload
-	}
-	if err := n.comm.ReduceFoldTelemetry(0, n.fanin, delta.MergeEncodedState, ship); err != nil {
-		return nil, err
-	}
-	n.telEpochs++
-	if n.comm.Rank() != 0 {
-		return nil, nil
-	}
-	merged := ship()
-	if n.telGlobal == nil {
-		n.telGlobal, err = core.NewDB(history.ClusterScheme(), attr.NewRegistry())
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := n.telGlobal.MergeEncodedState(merged); err != nil {
-		return nil, err
-	}
-	// the epoch's own merged delta supplies per-rank gauge "last" values
-	epochDB, err := core.NewDB(history.ClusterScheme(), attr.NewRegistry())
-	if err != nil {
-		return nil, err
-	}
-	if err := epochDB.MergeEncodedState(merged); err != nil {
-		return nil, err
-	}
-	view, err := history.BuildClusterView(n.telGlobal, epochDB, n.telEpochs, time.Now().UnixNano())
-	if err != nil {
-		return nil, err
-	}
-	history.PublishCluster(view)
-	return view, nil
-}
-
-// TelemetryGlobal returns the root's cumulative cluster-wide telemetry
-// database (nil on other ranks, and before the first SyncTelemetry).
-func (n *Node) TelemetryGlobal() *core.DB { return n.telGlobal }
-
-// TelemetryEpochs returns the number of completed SyncTelemetry epochs.
-func (n *Node) TelemetryEpochs() uint64 { return n.telEpochs }
 
 // Global returns the root's cumulative database (nil on other ranks).
 // It reflects all records included in completed epochs.

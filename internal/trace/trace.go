@@ -149,13 +149,6 @@ func BeginRank(name string, rank int) Span {
 // produces span labels.
 func (s *Span) Active() bool { return s.ok || s.prof != nil }
 
-// SetRank tags the span with an emulated MPI rank (Chrome trace pid).
-func (s *Span) SetRank(rank int) {
-	if s.Active() {
-		s.rank = int32(rank)
-	}
-}
-
 // SetTid tags the span with a thread index (Chrome trace tid).
 func (s *Span) SetTid(tid int) {
 	if s.Active() {

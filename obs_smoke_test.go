@@ -37,15 +37,6 @@ func TestEndpointSmoke(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// history recorder armed before the workload: its baseline predates
-	// the query, so the captured window carries the query counters
-	if err := caliper.StartHistory(caliper.HistoryOptions{
-		Dir: t.TempDir(), Interval: time.Hour,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(caliper.StopHistory)
-
 	// drive the engine: record per-rank profiles, query them sharded
 	dir := t.TempDir()
 	app := cleverleaf.Config{Ranks: 4, Timesteps: 4, Levels: 2, WorkScale: 1, VirtualTime: true}
@@ -164,44 +155,4 @@ func TestEndpointSmoke(t *testing.T) {
 		t.Errorf("no slow-query entry for %q in /debug/log:\n%s", queryText, logBody)
 	}
 
-	// /debug/history serves the captured window with the query telemetry
-	if _, err := caliper.HistoryRecorder().CaptureNow(); err != nil {
-		t.Fatal(err)
-	}
-	var hist struct {
-		Count   int `json:"count"`
-		Windows []struct {
-			Metrics []struct {
-				Name string `json:"name"`
-			} `json:"metrics"`
-		} `json:"windows"`
-	}
-	if err := json.Unmarshal([]byte(get("/debug/history")), &hist); err != nil {
-		t.Fatalf("/debug/history does not parse: %v", err)
-	}
-	if hist.Count < 1 {
-		t.Fatal("/debug/history has no windows after a capture")
-	}
-	querySeen := false
-	for _, w := range hist.Windows {
-		for _, m := range w.Metrics {
-			if m.Name == "caligo.query.queries" {
-				querySeen = true
-			}
-		}
-	}
-	if !querySeen {
-		t.Error("/debug/history windows missing the caligo.query.queries delta")
-	}
-
-	// /debug/cluster is valid JSON with the merged-view fields
-	var cluster map[string]any
-	if err := json.Unmarshal([]byte(get("/debug/cluster")), &cluster); err != nil {
-		t.Fatalf("/debug/cluster does not parse: %v", err)
-	}
-	for _, field := range []string{"ranks", "slowest_rank", "metrics"} {
-		if _, ok := cluster[field]; !ok {
-			t.Errorf("/debug/cluster missing %q field", field)
-		}
-	}
 }
