@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt vet test test-race loc bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke prof-smoke index-smoke cache-smoke check clean
+.PHONY: build fmt vet test test-race loc bench-module bench-smoke bench-json bench-calibrate bench-compare fuzz-seed smoke index-smoke cache-smoke check clean
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ test-race:
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
 	echo "calql + internal/query + internal/pquery: $$(count calql internal/query internal/pquery)"; \
-	echo "observability (telemetry trace obs prof): $$(count internal/telemetry internal/trace internal/obs internal/prof)"; \
+	echo "observability (telemetry trace obs): $$(count internal/telemetry internal/trace internal/obs)"; \
 	echo "total: $$(count . -path ./bench -prune -o)"
 
 # bench/ is a module of its own that `go build ./...` and `go test ./...`
@@ -102,13 +102,7 @@ bench-compare:
 # Run the fuzz targets over their seed corpora only (no fuzzing time);
 # regressions on checked-in seeds fail fast.
 fuzz-seed:
-	$(GO) test -run Fuzz ./internal/calql ./internal/calformat ./internal/core ./internal/prof ./internal/query
-
-# Self-profiling smoke test: capture a 1s CPU window of the test process,
-# convert it to .cali, and answer the flagship flame question with CalQL
-# over the file.
-prof-smoke:
-	$(GO) test -run TestProfSmoke -count=1 ./internal/prof
+	$(GO) test -run Fuzz ./internal/calql ./internal/calformat ./internal/core ./internal/query
 
 # Index smoke test: build sidecar block indexes over a corpus and check
 # that every execution mode renders byte-identical output with pruning
@@ -129,7 +123,7 @@ cache-smoke:
 smoke:
 	$(GO) test -run TestEndpointSmoke -count=1 .
 
-check: build fmt vet test bench-module fuzz-seed smoke prof-smoke index-smoke cache-smoke
+check: build fmt vet test bench-module fuzz-seed smoke index-smoke cache-smoke
 
 clean:
 	$(GO) clean ./...

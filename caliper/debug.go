@@ -72,7 +72,6 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 //	/debug/log         — structured-log flight recorder dump as NDJSON
 //	/debug/telemetry   — plain-text report of the internal telemetry registry
 //	/debug/trace       — buffered trace spans as Chrome trace-event JSON
-//	/debug/selfprofile — self-profiling as .cali data (see selfProfileHandler)
 //	/debug/vars        — expvar JSON, including the "caligo.telemetry" var
 //	/debug/pprof/      — the standard net/http/pprof profiling handlers
 //
@@ -104,7 +103,6 @@ func DebugHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		trace.WriteTrace(w)
 	}))
-	mux.HandleFunc("/debug/selfprofile", getOnly(selfProfileHandler))
 	mux.HandleFunc("/debug/pprof/", getOnly(pprof.Index))
 	mux.HandleFunc("/debug/pprof/cmdline", getOnly(pprof.Cmdline))
 	mux.HandleFunc("/debug/pprof/profile", getOnly(pprof.Profile))

@@ -183,7 +183,6 @@ func TestDebugHandlerMethodNotAllowed(t *testing.T) {
 	for _, path := range []string{
 		"/debug/metrics", "/debug/queries", "/debug/log",
 		"/debug/telemetry", "/debug/trace", "/debug/vars", "/debug/pprof/",
-		"/debug/selfprofile",
 	} {
 		resp, err := http.Post(srv.URL+path, "text/plain", strings.NewReader("x"))
 		if err != nil {
