@@ -30,7 +30,6 @@ import (
 	"caligo/internal/experiments"
 	"caligo/internal/mpi"
 	"caligo/internal/pquery"
-	"caligo/internal/rnet"
 	"caligo/internal/snapshot"
 	"caligo/internal/telemetry"
 )
@@ -564,53 +563,6 @@ func BenchmarkQuickstartPipeline(b *testing.B) {
 }
 
 var _ = fmt.Sprintf // keep fmt for debug edits
-
-// ---------------------------------------------------------------------------
-// On-line reduction network (internal/rnet): streaming epoch-based
-// cross-process aggregation vs the post-mortem tree reduction over the
-// same records. The network pays per-epoch reduction latency; the
-// post-mortem path pays one big reduction plus file I/O (elided here).
-
-func benchRnet(b *testing.B, ranks, epochs, recsPerEpoch int) {
-	scheme := core.MustScheme([]string{"region", "mpi.rank"},
-		[]core.OpSpec{{Kind: core.OpCount}, {Kind: core.OpSum, Target: "work"}})
-	for i := 0; i < b.N; i++ {
-		world, err := mpi.NewWorld(ranks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		err = world.Run(func(c *mpi.Comm) error {
-			reg := attr.NewRegistry()
-			region := reg.MustCreate("region", attr.String, attr.Nested)
-			rank := reg.MustCreate("mpi.rank", attr.Int, 0)
-			work := reg.MustCreate("work", attr.Int, attr.AsValue)
-			node, err := rnet.New(c, scheme, reg)
-			if err != nil {
-				return err
-			}
-			names := []string{"a", "b", "c", "d"}
-			for e := 0; e < epochs; e++ {
-				for r := 0; r < recsPerEpoch; r++ {
-					node.Push(snapshot.FlatRecord{
-						{Attr: region, Value: attr.StringV(names[r%len(names)])},
-						{Attr: rank, Value: attr.IntV(int64(c.Rank()))},
-						{Attr: work, Value: attr.IntV(int64(r))},
-					})
-				}
-				if _, err := node.Sync(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRnetStreaming8Ranks(b *testing.B)  { benchRnet(b, 8, 5, 200) }
-func BenchmarkRnetStreaming32Ranks(b *testing.B) { benchRnet(b, 32, 5, 200) }
 
 // ---------------------------------------------------------------------------
 // Self-instrumentation overhead: the same Table I snapshot stream with

@@ -220,9 +220,6 @@ func (ch *Channel) Name() string { return ch.name }
 // Registry exposes the channel's attribute registry.
 func (ch *Channel) Registry() *attr.Registry { return ch.reg }
 
-// Tree exposes the channel's context tree (used by format writers).
-func (ch *Channel) Tree() *contexttree.Tree { return ch.tree }
-
 // Snapshots returns the number of snapshots processed so far.
 func (ch *Channel) Snapshots() uint64 { return ch.snapshots.Load() }
 

@@ -400,7 +400,7 @@ func TestAggregateWhereFilter(t *testing.T) {
 	th.End("region")
 	rows, _ := ch.Flush()
 	for _, r := range rows {
-		if r.Has(mustFind(t, ch, "mpi.function").ID()) {
+		if len(r.ValuesOf(mustFind(t, ch, "mpi.function").ID())) > 0 {
 			t.Errorf("filtered attribute leaked: %s", r)
 		}
 	}
@@ -563,18 +563,6 @@ func TestSkipEventsSuppressesTriggers(t *testing.T) {
 	th.End("quiet")
 	if ch.Snapshots() != 0 {
 		t.Errorf("SkipEvents attribute triggered %d snapshots", ch.Snapshots())
-	}
-}
-
-func TestSortedServiceNames(t *testing.T) {
-	names := SortedServiceNames()
-	if len(names) != 7 {
-		t.Errorf("services = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Error("names not sorted")
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package caliper
 import (
 	"expvar"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -28,11 +27,6 @@ func publishTelemetry() {
 		}))
 	})
 }
-
-// WriteMetrics writes the telemetry registry in OpenMetrics text format —
-// the /debug/metrics body — so host applications can expose the metrics on
-// their own scrape endpoint without mounting the debug handler.
-func WriteMetrics(w io.Writer) error { return obs.WriteMetrics(w) }
 
 // DebugServer is a running runtime-introspection HTTP endpoint started by
 // ServeDebug.

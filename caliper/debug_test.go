@@ -2,6 +2,7 @@ package caliper
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -199,6 +200,8 @@ func TestDebugHandlerMethodNotAllowed(t *testing.T) {
 	}
 }
 
+var errMutate = errors.New("mutate")
+
 // TestDebugMetricsScrapeWhileMutate scrapes /debug/metrics, /debug/log,
 // and /debug/queries while telemetry mutates underneath (run under -race
 // in CI).
@@ -220,7 +223,6 @@ func TestDebugMetricsScrapeWhileMutate(t *testing.T) {
 			defer mutators.Done()
 			c := telemetry.NewCounter("caligo.debugtest.events")
 			h := telemetry.NewHistogram("caligo.debugtest.ns")
-			log := obs.Logger("debugtest")
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -229,10 +231,13 @@ func TestDebugMetricsScrapeWhileMutate(t *testing.T) {
 				}
 				c.Inc()
 				h.Observe(int64(i%1000 + 1))
-				log.Info("mutate", "i", i)
 				aq := obs.BeginQuery("AGGREGATE count", "serial")
 				aq.SetRows(1)
-				aq.End(nil)
+				var err error
+				if i%2 == 1 {
+					err = errMutate // a failed query writes a /debug/log record
+				}
+				aq.End(err)
 			}
 		}()
 	}

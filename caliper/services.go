@@ -3,7 +3,6 @@ package caliper
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -531,17 +530,4 @@ func (svc *metricsService) flush(ch *Channel, emit func(snapshot.FlatRecord) err
 		}
 	}
 	return emit(rec)
-}
-
-// ---------------------------------------------------------------------------
-// helpers shared by services
-
-// SortedServiceNames lists the services available in this build.
-func SortedServiceNames() []string {
-	names := make([]string, 0, len(serviceFactories))
-	for n := range serviceFactories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -284,6 +284,3 @@ func (t *Thread) AdvanceVirtualTime(ns int64) {
 		t.virtNow += ns
 	}
 }
-
-// VirtualTime returns the thread's virtual clock in nanoseconds.
-func (t *Thread) VirtualTime() int64 { return t.virtNow }

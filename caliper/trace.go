@@ -17,9 +17,6 @@ import (
 // cost one atomic load and zero allocations.
 func SetTracing(on bool) (previous bool) { return trace.SetEnabled(on) }
 
-// TracingEnabled reports whether span collection is on.
-func TracingEnabled() bool { return trace.Enabled() }
-
 // WriteTrace writes all buffered spans as Chrome trace-event JSON,
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Each
 // emulated MPI rank appears as its own process lane.

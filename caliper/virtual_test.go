@@ -55,16 +55,16 @@ func TestVirtualTimeMonotonic(t *testing.T) {
 	th := ch.Thread()
 	th.SetVirtualTime(100)
 	th.SetVirtualTime(50) // must not go backwards
-	if th.VirtualTime() != 100 {
-		t.Errorf("VirtualTime = %d, want 100", th.VirtualTime())
+	if th.virtNow != 100 {
+		t.Errorf("VirtualTime = %d, want 100", th.virtNow)
 	}
 	th.AdvanceVirtualTime(-5) // negative advance ignored
-	if th.VirtualTime() != 100 {
-		t.Errorf("VirtualTime = %d after negative advance", th.VirtualTime())
+	if th.virtNow != 100 {
+		t.Errorf("VirtualTime = %d after negative advance", th.virtNow)
 	}
 	th.AdvanceVirtualTime(25)
-	if th.VirtualTime() != 125 {
-		t.Errorf("VirtualTime = %d, want 125", th.VirtualTime())
+	if th.virtNow != 125 {
+		t.Errorf("VirtualTime = %d, want 125", th.virtNow)
 	}
 }
 
@@ -186,20 +186,16 @@ func TestThreadUpdatesCounter(t *testing.T) {
 	}
 }
 
+// TestChannelTreeAccessor: Begin adds the region to the channel's context
+// tree.
 func TestChannelTreeAccessor(t *testing.T) {
 	ch := mustChannel(t, Config{"services": "event"})
 	th := ch.Thread()
 	th.Begin("region", "x")
-	if ch.Tree().Len() == 0 {
+	if ch.tree.Len() == 0 {
 		t.Error("context tree should have nodes after Begin")
 	}
 	th.End("region")
-}
-
-func TestAttrEqualHelper(t *testing.T) {
-	if !attr.Equal(attr.IntV(3), attr.IntV(3)) || attr.Equal(attr.IntV(3), attr.FloatV(3)) {
-		t.Error("attr.Equal misbehaves")
-	}
 }
 
 func TestGlobalsRecorded(t *testing.T) {

@@ -40,9 +40,6 @@ type Query = internalcalql.Query
 //	AGGREGATE count, sum(time.duration) GROUP BY function, loop.iteration
 func Parse(text string) (*Query, error) { return internalcalql.Parse(text) }
 
-// MustParse is Parse panicking on error, for static query definitions.
-func MustParse(text string) *Query { return internalcalql.MustParse(text) }
-
 // Resultset holds query output rows together with the attribute registry
 // they resolve against.
 type Resultset struct {

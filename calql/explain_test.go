@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	internalcalql "caligo/internal/calql"
 	"caligo/internal/obs"
 	"caligo/internal/telemetry"
 	"caligo/internal/trace"
@@ -138,7 +139,7 @@ func TestAnalyzeAndQueryStatsShareOneRecord(t *testing.T) {
 		ranks, jobs int
 	}{{"serial", 0, 1}, {"sharded", 0, 3}, {"mpi", 4, 1}} {
 		// a LIMIT of its own makes each mode's record findable by its text
-		q := MustParse(fmt.Sprintf("EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel LIMIT %d", 100+i))
+		q := internalcalql.MustParse(fmt.Sprintf("EXPLAIN ANALYZE AGGREGATE sum(aggregate.count) GROUP BY kernel LIMIT %d", 100+i))
 		out, err := explain(q.String(), files, Options{Ranks: m.ranks, Jobs: m.jobs})
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +180,7 @@ func TestAnalyzeAndQueryStatsShareOneRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := record(MustParse("AGGREGATE count GROUP BY kernel LIMIT 99").String())
+	rec := record(internalcalql.MustParse("AGGREGATE count GROUP BY kernel LIMIT 99").String())
 	for _, ph := range rec.Phases {
 		if ph.Name == "run" && time.Duration(ph.NS) != res.Timing.TotalWall {
 			t.Errorf("TotalWall %v, the record's run phase %v", res.Timing.TotalWall, time.Duration(ph.NS))
@@ -201,7 +202,7 @@ func TestConcurrentExplainAnalyze(t *testing.T) {
 	prev := trace.SetEnabled(false)
 	t.Cleanup(func() { trace.SetEnabled(prev) })
 	files := explainDataset(t, 4)
-	before := trace.Len()
+	before := len(trace.Snapshot())
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < cap(errs); i++ {
@@ -225,7 +226,7 @@ func TestConcurrentExplainAnalyze(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if n := trace.Len() - before; n != 0 {
+	if n := len(trace.Snapshot()) - before; n != 0 {
 		t.Errorf("EXPLAIN ANALYZE put %d spans into the trace ring with tracing off", n)
 	}
 }

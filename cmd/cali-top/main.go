@@ -207,12 +207,6 @@ func (m *monitor) render(w *os.File, prev, cur *scrapeState) {
 		p50, _ := histQuantile(cur, "caligo_runtime_gc_pause_ns", 0.50)
 		fmt.Fprintf(w, "gc pause p50 %10s   p99 %10s\n", humanNS(p50), humanNS(p99))
 	}
-	if pending := value(cur, "caligo_rnet_pending_records"); pending > 0 ||
-		value(cur, "caligo_rnet_epochs") > 0 {
-		fmt.Fprintf(w, "rnet     epochs %6.1f/s   pending %8.0f   sync lag %10s\n",
-			rate(prev, cur, "caligo_rnet_epochs"), pending,
-			humanNS(value(cur, "caligo_rnet_sync_lag_ns")))
-	}
 	renderIndexLine(w, cur)
 	renderCacheLine(w, cur)
 	fmt.Fprintln(w)
@@ -247,12 +241,6 @@ func (m *monitor) renderOnce(w *os.File, cur *scrapeState) {
 		value(cur, "caligo_runtime_heap_objects"),
 		value(cur, "caligo_runtime_goroutines"),
 		value(cur, "caligo_runtime_gc_count"))
-	if pending := value(cur, "caligo_rnet_pending_records"); pending > 0 ||
-		value(cur, "caligo_rnet_epochs") > 0 {
-		fmt.Fprintf(w, "rnet     epochs %8.0f   pending %8.0f   sync lag %10s\n",
-			value(cur, "caligo_rnet_epochs"), pending,
-			humanNS(value(cur, "caligo_rnet_sync_lag_ns")))
-	}
 	renderIndexLine(w, cur)
 	renderCacheLine(w, cur)
 	fmt.Fprintln(w)

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"caligo/caliper"
@@ -38,13 +39,13 @@ func work(n int) {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// The aggregation scheme is ordinary runtime configuration — no
 	// recompilation needed to change what is collected.
 	ch, err := caliper.NewChannel(caliper.Config{
@@ -76,19 +77,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("time-series function profile (one row per function x iteration):")
-	if err := rs.Render(os.Stdout); err != nil {
+	fmt.Fprintln(w, "time-series function profile (one row per function x iteration):")
+	if err := rs.Render(w); err != nil {
 		return err
 	}
 
 	// The compact variant: re-aggregate the profile without the iteration
 	// number — the multi-stage workflow of Section VI.
-	fmt.Println("\ncompact profile (loop.iteration removed from the key):")
+	fmt.Fprintln(w, "\ncompact profile (loop.iteration removed from the key):")
 	rs2, err := calql.QueryRecords(`
 		AGGREGATE sum(aggregate.count) AS count, sum(sum#time.duration) AS sum#time
 		GROUP BY function ORDER BY function DESC`, rs.Reg, rs.Rows)
 	if err != nil {
 		return err
 	}
-	return rs2.Render(os.Stdout)
+	return rs2.Render(w)
 }

@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -47,13 +48,13 @@ func simulate(threads []*caliper.Thread) {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "timeseries:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	configs := []struct {
 		name  string
 		key   string
@@ -71,9 +72,9 @@ func run() error {
 		{
 			name: "time-series profile (phase x 10-iteration block)",
 			key:  "phase,iteration",
-			ops:  "sum(time.duration)",
+			ops:  "count,sum(time.duration)",
 			query: `LET block = truncate(iteration, 10)
-			        AGGREGATE sum(sum#time.duration) AS total
+			        AGGREGATE sum(aggregate.count) AS count, sum(sum#time.duration) AS total
 			        GROUP BY phase, block WHERE phase=solve
 			        ORDER BY block`,
 		},
@@ -105,18 +106,18 @@ func run() error {
 	simulate(threads)
 
 	for i, c := range configs {
-		fmt.Printf("== %s ==\n", c.name)
-		fmt.Printf("   on-line scheme: AGGREGATE %s GROUP BY %s\n\n", c.ops, c.key)
+		fmt.Fprintf(w, "== %s ==\n", c.name)
+		fmt.Fprintf(w, "   on-line scheme: AGGREGATE %s GROUP BY %s\n\n", c.ops, c.key)
 		rs, err := calql.QueryChannel(c.query, channels[i])
 		if err != nil {
 			return err
 		}
-		if err := rs.Render(os.Stdout); err != nil {
+		if err := rs.Render(w); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("the same annotations served all three analyses; only the")
-	fmt.Println("aggregation schemes differ (Section III-B's tradeoff).")
+	fmt.Fprintln(w, "the same annotations served all three analyses; only the")
+	fmt.Fprintln(w, "aggregation schemes differ (Section III-B's tradeoff).")
 	return nil
 }

@@ -478,12 +478,3 @@ func haloRecv(comm *mpiwrap.Comm, level int) error {
 	_, _, err := comm.Recv(right, 1100+level)
 	return err
 }
-
-// EventsPerRank estimates the number of annotation events (begin/end/set)
-// one rank generates, for sizing the overhead experiments.
-func (c Config) EventsPerRank() int {
-	perLevel := 2 + 2*len(kernelCost) // amr.level begin/end + kernels
-	mpiEvents := 2 * (2 + 4)          // allreduce+barrier + 4 halo p2p calls
-	perStep := 1 + c.Levels*(perLevel+8) + mpiEvents
-	return 8 + c.Timesteps*perStep
-}

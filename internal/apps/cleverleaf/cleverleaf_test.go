@@ -253,30 +253,6 @@ func TestAdvecMomBalanced(t *testing.T) {
 	}
 }
 
-func TestEventsPerRankEstimate(t *testing.T) {
-	cfg := testConfig()
-	ch, err := caliper.NewChannel(caliper.Config{"services": "event"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var th *caliper.Thread
-	err = Run(Config{Ranks: 1, Timesteps: cfg.Timesteps, Levels: cfg.Levels, WorkScale: 0.02},
-		func(int) *caliper.Thread {
-			th = ch.Thread()
-			return th
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := cfg.EventsPerRank()
-	// Ranks=1 has no halo exchange; the estimate covers the multi-rank
-	// case, so allow a wide band.
-	got := int(th.Snapshots())
-	if got < est/2 || got > est*2 {
-		t.Errorf("snapshots = %d, estimate = %d (should be same order)", got, est)
-	}
-}
-
 func TestHybridThreadsPerRank(t *testing.T) {
 	cfg := Config{Ranks: 2, Timesteps: 6, Levels: 3, WorkScale: 0.1, ThreadsPerRank: 3}
 	perRank := runInstrumented(t, cfg, caliper.Config{

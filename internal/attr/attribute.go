@@ -2,7 +2,6 @@ package attr
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -225,34 +224,6 @@ func (r *Registry) Get(id ID) (Attribute, bool) {
 		return Attribute{id: InvalidID}, false
 	}
 	return r.attrs[id], true
-}
-
-// Len returns the number of registered attributes.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.attrs)
-}
-
-// All returns a snapshot of all attributes sorted by id.
-func (r *Registry) All() []Attribute {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Attribute, len(r.attrs))
-	copy(out, r.attrs)
-	return out
-}
-
-// Names returns all attribute labels in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.attrs))
-	for _, a := range r.attrs {
-		names = append(names, a.name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }
 
 // Entry is one attribute:value pair, the unit of the key:value data model.

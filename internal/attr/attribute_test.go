@@ -49,8 +49,8 @@ func TestRegistryIdempotentCreate(t *testing.T) {
 	if got.Properties()&AsValue == 0 {
 		t.Error("properties not merged")
 	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d, want 1", r.Len())
+	if a, ok := r.Get(1); ok {
+		t.Errorf("re-Create registered a second attribute %s", a.Name())
 	}
 }
 
@@ -82,20 +82,6 @@ func TestMustCreatePanics(t *testing.T) {
 	r.MustCreate("", Int, 0)
 }
 
-func TestRegistryAllAndNames(t *testing.T) {
-	r := NewRegistry()
-	r.MustCreate("b", Int, 0)
-	r.MustCreate("a", String, 0)
-	all := r.All()
-	if len(all) != 2 || all[0].Name() != "b" || all[1].Name() != "a" {
-		t.Errorf("All = %v (want id order b,a)", all)
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v (want sorted)", names)
-	}
-}
-
 func TestRegistryConcurrentCreate(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -114,16 +100,17 @@ func TestRegistryConcurrentCreate(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Len() != 20 {
-		t.Errorf("Len = %d, want 20", r.Len())
-	}
-	// IDs must be dense 0..19
-	seen := map[ID]bool{}
-	for _, a := range r.All() {
-		if a.ID() < 0 || a.ID() >= 20 || seen[a.ID()] {
-			t.Errorf("bad or duplicate id %d", a.ID())
+	// IDs must be dense 0..19, one per name
+	seen := map[string]bool{}
+	for id := ID(0); id < 20; id++ {
+		a, ok := r.Get(id)
+		if !ok || seen[a.Name()] {
+			t.Errorf("id %d: missing or duplicate attribute %v", id, a)
 		}
-		seen[a.ID()] = true
+		seen[a.Name()] = true
+	}
+	if a, ok := r.Get(20); ok {
+		t.Errorf("21st attribute %s, want 20", a.Name())
 	}
 }
 

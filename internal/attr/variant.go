@@ -91,9 +91,6 @@ func TypeV(t Type) Variant { return Variant{kind: TypeID, bits: uint64(t)} }
 // Kind reports the variant's type tag.
 func (v Variant) Kind() Type { return v.kind }
 
-// Empty reports whether the variant holds no value.
-func (v Variant) Empty() bool { return v.kind == Inv }
-
 // AsInt returns the value as int64. Floats truncate; strings parse
 // (returning 0 on failure); bools map to 0/1.
 func (v Variant) AsInt() int64 {
@@ -303,9 +300,6 @@ func (v Variant) numeric() (float64, bool) {
 	}
 	return 0, false
 }
-
-// Equal reports whether two variants have identical type and value.
-func Equal(a, b Variant) bool { return a == b }
 
 // AppendEncoded appends a compact, self-delimiting binary encoding of the
 // variant to dst. The encoding is injective per (kind, value): it starts

@@ -53,16 +53,13 @@ func TestVariantConstructorsAndAccessors(t *testing.T) {
 
 func TestVariantEmpty(t *testing.T) {
 	var v Variant
-	if !v.Empty() {
-		t.Error("zero Variant should be empty")
-	}
 	if v.Kind() != Inv {
 		t.Errorf("zero Variant kind = %v, want Inv", v.Kind())
 	}
 	if v.String() != "" {
 		t.Errorf("zero Variant string = %q, want empty", v.String())
 	}
-	if IntV(0).Empty() {
+	if IntV(0).Kind() == Inv {
 		t.Error("IntV(0) should not be empty")
 	}
 }

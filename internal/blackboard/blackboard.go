@@ -213,26 +213,6 @@ func (b *Blackboard) Set(a attr.Attribute, v attr.Variant) error {
 	return nil
 }
 
-// Get returns the innermost current value of attribute a.
-func (b *Blackboard) Get(a attr.Attribute) (attr.Variant, bool) {
-	switch {
-	case a.StoreAsValue():
-		return stackOf(&b.immStacks, a, false).top()
-	case a.IsNested():
-		return b.tree.FindInPath(b.nested, a.ID())
-	default:
-		tip, ok := stackOf(&b.refStacks, a, false).top()
-		if !ok {
-			return attr.Variant{}, false
-		}
-		aid, v, err := b.tree.Entry(tip)
-		if err != nil || aid != a.ID() {
-			return attr.Variant{}, false
-		}
-		return v, true
-	}
-}
-
 // Depth returns the number of open regions of attribute a.
 func (b *Blackboard) Depth(a attr.Attribute) int {
 	switch {
@@ -272,12 +252,4 @@ func (b *Blackboard) Snapshot(sb *snapshot.Builder) {
 			sb.AddImmediate(st.attr, v)
 		}
 	}
-}
-
-// Clear resets the blackboard to the empty state.
-func (b *Blackboard) Clear() {
-	b.nested = contexttree.InvalidNode
-	b.nestedStack = b.nestedStack[:0]
-	b.refStacks = b.refStacks[:0]
-	b.immStacks = b.immStacks[:0]
 }

@@ -207,10 +207,10 @@ func TestHiddenAttributeExcludedFromSnapshot(t *testing.T) {
 	fx.bb.Begin(hiddenImm, attr.IntV(2))
 	fx.bb.Begin(fx.iter, attr.IntV(3))
 	f := fx.flat(t)
-	if f.Has(hidden.ID()) || f.Has(hiddenImm.ID()) {
+	if len(f.ValuesOf(hidden.ID())) > 0 || len(f.ValuesOf(hiddenImm.ID())) > 0 {
 		t.Errorf("hidden attributes leaked into snapshot: %v", f)
 	}
-	if !f.Has(fx.iter.ID()) {
+	if len(f.ValuesOf(fx.iter.ID())) == 0 {
 		t.Error("visible attribute missing")
 	}
 }
@@ -372,4 +372,38 @@ func TestSnapshotOrderIsFirstBegin(t *testing.T) {
 			t.Fatalf("snapshot %d lists %v, want %v", i, got, want)
 		}
 	}
+}
+
+// Get returns the innermost current value of attribute a: the test
+// oracle for what Begin, Set and End left on the blackboard.
+func (b *Blackboard) Get(a attr.Attribute) (attr.Variant, bool) {
+	switch {
+	case a.StoreAsValue():
+		return stackOf(&b.immStacks, a, false).top()
+	case a.IsNested():
+		for n := b.nested; n != contexttree.InvalidNode; n = b.tree.Parent(n) {
+			if aid, v, err := b.tree.Entry(n); err == nil && aid == a.ID() {
+				return v, true
+			}
+		}
+		return attr.Variant{}, false
+	default:
+		tip, ok := stackOf(&b.refStacks, a, false).top()
+		if !ok {
+			return attr.Variant{}, false
+		}
+		aid, v, err := b.tree.Entry(tip)
+		if err != nil || aid != a.ID() {
+			return attr.Variant{}, false
+		}
+		return v, true
+	}
+}
+
+// Clear resets the blackboard to the empty state between test cases.
+func (b *Blackboard) Clear() {
+	b.nested = contexttree.InvalidNode
+	b.nestedStack = b.nestedStack[:0]
+	b.refStacks = b.refStacks[:0]
+	b.immStacks = b.immStacks[:0]
 }

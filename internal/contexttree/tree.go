@@ -30,8 +30,8 @@ type node struct {
 	parent NodeID
 	attr   attr.ID
 	// handle is the attribute GetChild was given, so expanding a path
-	// needs no registry lookup per entry. AddRaw knows only the id and
-	// leaves it invalid; AppendPath then resolves the id through reg.
+	// needs no registry lookup per entry. An invalid handle is resolved
+	// through the registry AppendPath is given.
 	handle attr.Attribute
 	value  attr.Variant
 }
@@ -131,9 +131,10 @@ func (t *Tree) Path(id NodeID, reg *attr.Registry) ([]attr.Entry, error) {
 
 // AppendPath appends the entries on the path from the root down to id to
 // dst, in root-to-node order, and returns the extended slice. It allocates
-// only when dst lacks the capacity. Nodes made by GetChild carry their
-// attribute (as it was when the node was created); nodes made by AddRaw are
-// resolved through reg. On error dst is returned at its original length.
+// only when dst lacks the capacity. Nodes carry the attribute GetChild was
+// given (as it was when the node was created); one given an invalid
+// attribute is resolved through reg. On error dst is returned at its
+// original length.
 func (t *Tree) AppendPath(dst []attr.Entry, id NodeID, reg *attr.Registry) ([]attr.Entry, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -159,88 +160,4 @@ func (t *Tree) AppendPath(dst []attr.Entry, id NodeID, reg *attr.Registry) ([]at
 		id = n.parent
 	}
 	return dst, nil
-}
-
-// FindInPath walks from id toward the root and returns the first (deepest)
-// value recorded for attribute a, if any.
-func (t *Tree) FindInPath(id NodeID, a attr.ID) (attr.Variant, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for id != InvalidNode && int(id) < len(t.nodes) && id >= 0 {
-		n := t.nodes[id]
-		if n.attr == a {
-			return n.value, true
-		}
-		id = n.parent
-	}
-	return attr.Variant{}, false
-}
-
-// ValuesInPath walks from id toward the root and returns all values
-// recorded for attribute a, ordered root-first (outermost first).
-func (t *Tree) ValuesInPath(id NodeID, a attr.ID) []attr.Variant {
-	var rev []attr.Variant
-	t.mu.RLock()
-	for id != InvalidNode && int(id) < len(t.nodes) && id >= 0 {
-		n := t.nodes[id]
-		if n.attr == a {
-			rev = append(rev, n.value)
-		}
-		id = n.parent
-	}
-	t.mu.RUnlock()
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// Node is an exported view of one tree node, used by encoders.
-type Node struct {
-	ID     NodeID
-	Parent NodeID
-	Attr   attr.ID
-	Value  attr.Variant
-}
-
-// NodesFrom returns exported views of all nodes with id >= start, in id
-// order. Encoders use this to write only nodes added since the last flush.
-func (t *Tree) NodesFrom(start NodeID) []Node {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if start < 0 {
-		start = 0
-	}
-	if int(start) >= len(t.nodes) {
-		return nil
-	}
-	out := make([]Node, 0, len(t.nodes)-int(start))
-	for _, n := range t.nodes[start:] {
-		out = append(out, Node{ID: n.id, Parent: n.parent, Attr: n.attr, Value: n.value})
-	}
-	return out
-}
-
-// AddRaw appends a node with explicit parent/attribute/value, used by
-// decoders reconstructing a tree from a stream. The node is registered in
-// the child index so later GetChild calls can reuse it. It returns the new
-// node's id. Parent must already exist (or be InvalidNode).
-func (t *Tree) AddRaw(parent NodeID, a attr.ID, v attr.Variant) (NodeID, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if parent != InvalidNode && (parent < 0 || int(parent) >= len(t.nodes)) {
-		return InvalidNode, fmt.Errorf("contexttree: AddRaw: parent %d does not exist", parent)
-	}
-	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, node{id: id, parent: parent, attr: a, value: v})
-	m, ok := t.children[parent]
-	if !ok {
-		m = map[childKey]NodeID{}
-		t.children[parent] = m
-	}
-	key := childKey{attr: a, value: v}
-	if _, exists := m[key]; !exists {
-		m[key] = id
-	}
-	return id, nil
 }

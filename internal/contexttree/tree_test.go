@@ -94,10 +94,7 @@ func TestAppendPath(t *testing.T) {
 	reg, fn, _, iter := testReg(t)
 	tree := New()
 	n := tree.GetChild(InvalidNode, fn, attr.StringV("main"))
-	raw, err := tree.AddRaw(n, iter.ID(), attr.IntV(7)) // no attribute handle, resolved through reg
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := tree.GetChild(n, iter, attr.IntV(7))
 	head := attr.Entry{Attr: iter, Value: attr.IntV(-1)}
 	dst, err := tree.AppendPath([]attr.Entry{head}, raw, reg)
 	want := []attr.Entry{head, {Attr: fn, Value: attr.StringV("main")}, {Attr: iter, Value: attr.IntV(7)}}
@@ -126,41 +123,6 @@ func TestPathOfInvalidNode(t *testing.T) {
 	}
 }
 
-func TestFindInPath(t *testing.T) {
-	_, fn, loop, iter := testReg(t)
-	tree := New()
-	n := tree.GetPath(InvalidNode, []attr.Entry{
-		{Attr: fn, Value: attr.StringV("main")},
-		{Attr: loop, Value: attr.StringV("l")},
-		{Attr: fn, Value: attr.StringV("foo")},
-	})
-	v, ok := tree.FindInPath(n, fn.ID())
-	if !ok || v.String() != "foo" {
-		t.Errorf("FindInPath(fn) = %v,%v; want foo (deepest wins)", v, ok)
-	}
-	v, ok = tree.FindInPath(n, loop.ID())
-	if !ok || v.String() != "l" {
-		t.Errorf("FindInPath(loop) = %v,%v", v, ok)
-	}
-	if _, ok := tree.FindInPath(n, iter.ID()); ok {
-		t.Error("FindInPath should miss for absent attribute")
-	}
-}
-
-func TestValuesInPath(t *testing.T) {
-	_, fn, _, _ := testReg(t)
-	tree := New()
-	n := tree.GetPath(InvalidNode, []attr.Entry{
-		{Attr: fn, Value: attr.StringV("main")},
-		{Attr: fn, Value: attr.StringV("foo")},
-		{Attr: fn, Value: attr.StringV("bar")},
-	})
-	vals := tree.ValuesInPath(n, fn.ID())
-	if len(vals) != 3 || vals[0].String() != "main" || vals[2].String() != "bar" {
-		t.Errorf("ValuesInPath = %v, want [main foo bar]", vals)
-	}
-}
-
 func TestEntryAndParent(t *testing.T) {
 	_, fn, _, _ := testReg(t)
 	tree := New()
@@ -181,46 +143,6 @@ func TestEntryAndParent(t *testing.T) {
 	}
 	if _, _, err := tree.Entry(99); err == nil {
 		t.Error("Entry out-of-range should error")
-	}
-}
-
-func TestNodesFromAndAddRaw(t *testing.T) {
-	_, fn, loop, _ := testReg(t)
-	tree := New()
-	tree.GetChild(InvalidNode, fn, attr.StringV("a"))
-	n1 := tree.GetChild(InvalidNode, loop, attr.StringV("b"))
-	nodes := tree.NodesFrom(0)
-	if len(nodes) != 2 {
-		t.Fatalf("NodesFrom(0) len = %d, want 2", len(nodes))
-	}
-	nodes = tree.NodesFrom(n1)
-	if len(nodes) != 1 || nodes[0].Value.String() != "b" {
-		t.Errorf("NodesFrom(%d) = %v", n1, nodes)
-	}
-	if got := tree.NodesFrom(100); got != nil {
-		t.Errorf("NodesFrom past end = %v, want nil", got)
-	}
-	if got := tree.NodesFrom(-5); len(got) != 2 {
-		t.Errorf("NodesFrom(-5) len = %d, want 2", len(got))
-	}
-
-	// Rebuild via AddRaw in a fresh tree
-	tree2 := New()
-	for _, n := range tree.NodesFrom(0) {
-		id, err := tree2.AddRaw(n.Parent, n.Attr, n.Value)
-		if err != nil {
-			t.Fatalf("AddRaw: %v", err)
-		}
-		if id != n.ID {
-			t.Errorf("AddRaw id = %d, want %d", id, n.ID)
-		}
-	}
-	// Child index must be usable: GetChild should find the existing node.
-	if got := tree2.GetChild(InvalidNode, fn, attr.StringV("a")); got != 0 {
-		t.Errorf("GetChild after AddRaw = %d, want 0", got)
-	}
-	if _, err := tree2.AddRaw(57, fn.ID(), attr.StringV("x")); err == nil {
-		t.Error("AddRaw with missing parent should error")
 	}
 }
 

@@ -117,14 +117,8 @@ func NewDB(scheme *Scheme, reg *attr.Registry) (*DB, error) {
 	}, nil
 }
 
-// Scheme returns the database's aggregation scheme.
-func (db *DB) Scheme() *Scheme { return db.scheme }
-
 // Len returns the number of aggregation records (unique keys).
 func (db *DB) Len() int { return len(db.buckets) }
-
-// Processed returns the number of input records aggregated so far.
-func (db *DB) Processed() uint64 { return db.processed }
 
 // resolveRole computes the scheme role of one attribute.
 func (db *DB) resolveRole(a attr.Attribute) role {

@@ -105,12 +105,3 @@ func (s *Scheme) Equal(o *Scheme) bool {
 	}
 	return true
 }
-
-// ResultNames lists the output labels of all operators, in operator order.
-func (s *Scheme) ResultNames() []string {
-	out := make([]string, len(s.Ops))
-	for i, o := range s.Ops {
-		out[i] = o.ResultName()
-	}
-	return out
-}

@@ -121,8 +121,8 @@ func TestWireRoundTripPerKind(t *testing.T) {
 				}
 			}
 			assertSameFlush(t, via, ref)
-			if via.Processed() != ref.Processed() {
-				t.Errorf("Processed = %d, want %d", via.Processed(), ref.Processed())
+			if via.processed != ref.processed {
+				t.Errorf("Processed = %d, want %d", via.processed, ref.processed)
 			}
 		})
 	}

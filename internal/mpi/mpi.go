@@ -71,23 +71,12 @@ type World struct {
 	abortOnce sync.Once
 }
 
-// Option configures a World.
-type Option func(*World)
-
-// WithCostModel overrides the virtual-clock cost model.
-func WithCostModel(m CostModel) Option {
-	return func(w *World) { w.cost = m }
-}
-
 // NewWorld creates an emulated job with the given number of ranks.
-func NewWorld(size int, opts ...Option) (*World, error) {
+func NewWorld(size int) (*World, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: world size must be positive, got %d", size)
 	}
 	w := &World{size: size, cost: DefaultCostModel(), done: make(chan struct{})}
-	for _, o := range opts {
-		o(w)
-	}
 	w.inbox = make([]chan message, size)
 	for i := range w.inbox {
 		// generous buffering keeps senders from blocking in the common

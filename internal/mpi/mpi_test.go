@@ -429,7 +429,8 @@ func TestCollectiveInvalidRoot(t *testing.T) {
 }
 
 func TestVirtualClockAdvances(t *testing.T) {
-	w, _ := NewWorld(2, WithCostModel(CostModel{Latency: 1000, PerByte: 1, Overhead: 100}))
+	w, _ := NewWorld(2)
+	w.cost = CostModel{Latency: 1000, PerByte: 1, Overhead: 100}
 	var clock0, clock1 float64
 	err := w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {

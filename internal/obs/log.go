@@ -14,9 +14,8 @@ import (
 //   - Kill-switched: logging is off by default, and a disabled logger
 //     costs one atomic load in Handler.Enabled — instrumented code can
 //     call slog's Info/Warn/Error unconditionally.
-//   - Per-subsystem: Logger("query"), Logger("rnet"), ... return loggers
-//     tagged with a subsystem attribute, so one stream multiplexes the
-//     whole pipeline and stays filterable.
+//   - One logger: the query attribution path is the only code that logs,
+//     through queryLogger, whose records carry component=query.
 //   - Flight recorder: every record (when enabled) is retained as one
 //     JSON line in a fixed-size ring, dumpable via /debug/log or
 //     WriteFlightRecorder — so after a failure the last N events are
@@ -97,20 +96,9 @@ func SetLogOutput(w io.Writer, format LogFormat) {
 	resetLogConfig(w, format, cfg.level)
 }
 
-// SetLogLevel sets the minimum level for both the sink and the flight
-// recorder (default Info). The configured sink is preserved.
-func SetLogLevel(level slog.Level) {
-	cfg := logCfg.Load()
-	resetLogConfig(cfg.sink, cfg.format, level)
-}
-
-// Logger returns a structured logger tagged with the given subsystem
-// (e.g. "query", "rnet", "caliper"). Loggers are cheap and cacheable in
-// package-level variables; they observe kill-switch flips and sink
-// changes at call time.
-func Logger(subsystem string) *slog.Logger {
-	return slog.New(&obsHandler{attrs: []slog.Attr{slog.String("subsystem", subsystem)}})
-}
+// queryLogger logs query failures and slow queries. It observes
+// kill-switch flips and sink changes at call time.
+var queryLogger = slog.New(&obsHandler{attrs: []slog.Attr{slog.String("component", "query")}})
 
 // obsHandler defers handler resolution to record time, so package-level
 // loggers stay valid across SetLogOutput reconfigurations, and prepends
@@ -275,14 +263,3 @@ func (f *flightRecorder) reset(capacity int) {
 // logging was on. This is the /debug/log endpoint's body, and tools dump
 // it on query failure so the run's last events survive the crash report.
 func WriteFlightRecorder(w io.Writer) error { return recorder.writeTo(w) }
-
-// FlightRecorderLen reports how many records the flight recorder
-// currently retains and how many it has seen in total (the difference
-// has been overwritten).
-func FlightRecorderLen() (retained int, total uint64) { return recorder.lengths() }
-
-// SetFlightRecorderCapacity resizes the flight recorder ring (default
-// 256 records) and clears it. Capacity <= 0 restores the default.
-func SetFlightRecorderCapacity(n int) {
-	recorder.reset(n)
-}

@@ -16,25 +16,25 @@ import (
 func withLogging(t *testing.T, on bool) {
 	t.Helper()
 	prev := SetLogEnabled(on)
-	SetFlightRecorderCapacity(0) // reset to default, clears contents
+	recorder.reset(0) // reset to default, clears contents
 	SetLogOutput(nil, LogJSON)
 	t.Cleanup(func() {
 		SetLogEnabled(prev)
 		SetLogOutput(nil, LogJSON)
-		SetFlightRecorderCapacity(0)
+		recorder.reset(0)
 	})
 }
 
 func TestLoggingKillSwitch(t *testing.T) {
 	withLogging(t, false)
-	log := Logger("test")
+	log := queryLogger
 	log.Info("dropped", "k", "v")
-	if retained, total := FlightRecorderLen(); retained != 0 || total != 0 {
+	if retained, total := recorder.lengths(); retained != 0 || total != 0 {
 		t.Errorf("disabled logging recorded %d/%d records", retained, total)
 	}
 	EnableLogging()
 	log.Info("kept", "k", "v")
-	if retained, _ := FlightRecorderLen(); retained != 1 {
+	if retained, _ := recorder.lengths(); retained != 1 {
 		t.Errorf("enabled logging retained %d records, want 1", retained)
 	}
 }
@@ -46,7 +46,7 @@ func TestLoggingDisabledAllocs(t *testing.T) {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
 	withLogging(t, false)
-	log := Logger("test")
+	log := queryLogger
 	allocs := testing.AllocsPerRun(100, func() {
 		log.Info("dropped", "key", 42)
 	})
@@ -57,12 +57,12 @@ func TestLoggingDisabledAllocs(t *testing.T) {
 
 func TestFlightRecorderRingAndDump(t *testing.T) {
 	withLogging(t, true)
-	SetFlightRecorderCapacity(4)
-	log := Logger("ring")
+	recorder.reset(4)
+	log := queryLogger
 	for i := 0; i < 10; i++ {
 		log.Info("event", "seq", i)
 	}
-	retained, total := FlightRecorderLen()
+	retained, total := recorder.lengths()
 	if retained != 4 || total != 10 {
 		t.Fatalf("retained/total = %d/%d, want 4/10", retained, total)
 	}
@@ -79,7 +79,7 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 		var rec struct {
 			Msg       string  `json:"msg"`
 			Seq       float64 `json:"seq"`
-			Subsystem string  `json:"subsystem"`
+			Component string  `json:"component"`
 			Level     string  `json:"level"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -88,8 +88,8 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 		if rec.Seq != float64(6+i) {
 			t.Errorf("line %d seq = %v, want %d", i, rec.Seq, 6+i)
 		}
-		if rec.Subsystem != "ring" {
-			t.Errorf("line %d subsystem = %q", i, rec.Subsystem)
+		if rec.Component != "query" {
+			t.Errorf("line %d component = %q", i, rec.Component)
 		}
 	}
 }
@@ -98,20 +98,20 @@ func TestLogSinkFormats(t *testing.T) {
 	withLogging(t, true)
 	var sink bytes.Buffer
 	SetLogOutput(&sink, LogJSON)
-	Logger("fmt").Warn("json sink", "n", 1)
+	queryLogger.Warn("json sink", "n", 1)
 	var rec map[string]any
 	if err := json.Unmarshal(bytes.TrimSpace(sink.Bytes()), &rec); err != nil {
 		t.Fatalf("JSON sink line invalid: %v\n%s", err, sink.String())
 	}
-	if rec["subsystem"] != "fmt" || rec["msg"] != "json sink" {
+	if rec["component"] != "query" || rec["msg"] != "json sink" {
 		t.Errorf("JSON sink record %v", rec)
 	}
 
 	sink.Reset()
 	SetLogOutput(&sink, LogText)
-	Logger("fmt").Error("text sink", "n", 2)
+	queryLogger.Error("text sink", "n", 2)
 	out := sink.String()
-	if !strings.Contains(out, "msg=\"text sink\"") || !strings.Contains(out, "subsystem=fmt") {
+	if !strings.Contains(out, "msg=\"text sink\"") || !strings.Contains(out, "component=query") {
 		t.Errorf("text sink rendering: %s", out)
 	}
 	// flight recorder captured both, as JSON, regardless of sink format
@@ -124,13 +124,20 @@ func TestLogSinkFormats(t *testing.T) {
 	}
 }
 
+// SetLogLevel sets the minimum level for both the sink and the flight
+// recorder (default Info), keeping the configured sink.
+func SetLogLevel(level slog.Level) {
+	cfg := logCfg.Load()
+	resetLogConfig(cfg.sink, cfg.format, level)
+}
+
 func TestLogLevelPreservesSink(t *testing.T) {
 	withLogging(t, true)
 	var sink bytes.Buffer
 	SetLogOutput(&sink, LogJSON)
 	SetLogLevel(slog.LevelWarn)
 	defer SetLogLevel(slog.LevelInfo)
-	log := Logger("lvl")
+	log := queryLogger
 	log.Info("filtered")
 	log.Warn("passed")
 	if strings.Contains(sink.String(), "filtered") {
@@ -145,7 +152,7 @@ func TestLoggerGroupsAndAttrs(t *testing.T) {
 	withLogging(t, true)
 	var sink bytes.Buffer
 	SetLogOutput(&sink, LogJSON)
-	log := Logger("grp").With("qid", 7).WithGroup("phase").With("name", "merge")
+	log := queryLogger.With("qid", 7).WithGroup("phase").With("name", "merge")
 	log.Info("timing", "ns", 123)
 	var rec map[string]any
 	if err := json.Unmarshal(bytes.TrimSpace(sink.Bytes()), &rec); err != nil {
@@ -164,7 +171,7 @@ func TestLoggerGroupsAndAttrs(t *testing.T) {
 // dumps concurrently (run under -race in CI).
 func TestLogConcurrentWriteWhileDump(t *testing.T) {
 	withLogging(t, true)
-	log := Logger("conc")
+	log := queryLogger
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -24,7 +24,7 @@ func TestSanitizeName(t *testing.T) {
 	tests := []struct{ in, want string }{
 		{"caligo.query.shards", "caligo_query_shards"},
 		{"already_valid:name", "already_valid:name"},
-		{"caligo.rnet.epoch.ns", "caligo_rnet_epoch_ns"},
+		{"caligo.pquery.reduce.ns", "caligo_pquery_reduce_ns"},
 		{"9starts.with.digit", "_starts_with_digit"},
 		{"", "_"},
 		{"spaces and-dashes", "spaces_and_dashes"},
@@ -110,7 +110,7 @@ func TestExporterRoundTrip(t *testing.T) {
 	if c, ok := f.HistCount(); !ok || c != 1000 {
 		t.Errorf("rt_hist count = %v, %v; want 1000", c, ok)
 	}
-	if s, ok := f.HistSum(); !ok || s != 500500 {
+	if s, ok := f.suffixValue("_sum"); !ok || s != 500500 {
 		t.Errorf("rt_hist sum = %v, %v; want 500500", s, ok)
 	}
 	// client-side quantile from the parsed buckets tracks the server-side
@@ -129,10 +129,10 @@ func TestExporterCumulativeBuckets(t *testing.T) {
 	withTelemetry(t, true)
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram("cum.hist")
-	h.Observe(0)  // bottom bin (le="0")
-	h.Observe(1)  // first positive bin
-	h.Observe(10) // later bin
-	h.ObserveFloat(math.Inf(1))
+	h.Observe(0)             // bottom bin (le="0")
+	h.Observe(1)             // first positive bin
+	h.Observe(10)            // later bin
+	h.Observe(math.MaxInt64) // top finite bin
 
 	var buf bytes.Buffer
 	if err := NewExporter(reg).Write(&buf); err != nil {

@@ -222,9 +222,6 @@ func (f *Family) Value() (float64, bool) {
 // HistCount returns the _count sample of a histogram family.
 func (f *Family) HistCount() (float64, bool) { return f.suffixValue("_count") }
 
-// HistSum returns the _sum sample of a histogram family.
-func (f *Family) HistSum() (float64, bool) { return f.suffixValue("_sum") }
-
 func (f *Family) suffixValue(suf string) (float64, bool) {
 	if f == nil {
 		return 0, false

@@ -59,7 +59,7 @@ neg -3.25e2
 
 // TestParseMetricsHistogramMissingSum checks a histogram family whose
 // exposition omits _sum (allowed for some producers): buckets and count
-// still work, HistSum reports absence instead of zero.
+// still work, the _sum lookup reports absence instead of zero.
 func TestParseMetricsHistogramMissingSum(t *testing.T) {
 	in := `# TYPE lat histogram
 lat_bucket{le="100"} 3
@@ -71,8 +71,8 @@ lat_count 5
 		t.Fatal(err)
 	}
 	f := m.Families["lat"]
-	if _, ok := f.HistSum(); ok {
-		t.Error("HistSum reported a value for a family without _sum")
+	if _, ok := f.suffixValue("_sum"); ok {
+		t.Error("_sum lookup reported a value for a family without _sum")
 	}
 	if n, ok := f.HistCount(); !ok || n != 5 {
 		t.Errorf("HistCount = %v (ok=%v), want 5", n, ok)
@@ -150,7 +150,7 @@ func TestParseMetricsRandomRoundTrip(t *testing.T) {
 				if !ok || cnt != float64(exp.snap.Count) {
 					t.Errorf("trial %d: %s count = %v, want %d", trial, name, cnt, exp.snap.Count)
 				}
-				sum, ok := f.HistSum()
+				sum, ok := f.suffixValue("_sum")
 				if !ok || sum != float64(exp.snap.Sum) {
 					t.Errorf("trial %d: %s sum = %v, want %d", trial, name, sum, exp.snap.Sum)
 				}

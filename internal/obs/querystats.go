@@ -107,8 +107,6 @@ var qlog = &queryLog{
 	active: map[uint64]*ActiveQuery{},
 }
 
-var queryLogger = Logger("query")
-
 // ActiveQuery accumulates attribution for one in-flight query. Methods
 // are safe for concurrent use by shard workers, and all methods are
 // nil-receiver no-ops so call sites need no enabled-checks.

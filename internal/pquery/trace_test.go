@@ -42,7 +42,7 @@ func TestTracingOnOffEquivalence(t *testing.T) {
 	// disabled run: no spans may appear
 	trace.Reset()
 	offRows := runRows(t, queryText, ranks, records)
-	if n := trace.Len(); n != 0 {
+	if n := len(trace.Snapshot()); n != 0 {
 		t.Errorf("disabled run recorded %d spans, want 0", n)
 	}
 

@@ -18,8 +18,8 @@ const FunctionAttr = "mpi.function"
 // RankAttr is the label under which the process rank is recorded.
 const RankAttr = "mpi.rank"
 
-// Comm is an instrumented communicator. All methods mirror mpi.Comm,
-// surrounding each call with mpi.function begin/end annotations. When the
+// Comm is an instrumented communicator. Its methods mirror the mpi.Comm
+// calls the proxy applications make, surrounding each call with mpi.function begin/end annotations. When the
 // thread's channel uses a virtual timer, the thread's virtual clock is
 // synchronized with the communicator's virtual clock after every call, so
 // time spent waiting in communication (as modeled by the MPI cost model)
@@ -103,41 +103,11 @@ func (w *Comm) Barrier() error {
 	})
 }
 
-// Bcast is an annotated mpi.Comm.Bcast (recorded as MPI_Bcast).
-func (w *Comm) Bcast(root int, data []byte) (out []byte, err error) {
-	err = w.instrument("MPI_Bcast", func() error {
-		var ierr error
-		out, ierr = w.inner.Bcast(root, data)
-		return ierr
-	})
-	return out, err
-}
-
-// Reduce is an annotated mpi.Comm.Reduce (recorded as MPI_Reduce).
-func (w *Comm) Reduce(root int, data []byte, combine mpi.Combine) (out []byte, err error) {
-	err = w.instrument("MPI_Reduce", func() error {
-		var ierr error
-		out, ierr = w.inner.Reduce(root, data, combine)
-		return ierr
-	})
-	return out, err
-}
-
 // Allreduce is an annotated mpi.Comm.Allreduce (recorded as MPI_Allreduce).
 func (w *Comm) Allreduce(data []byte, combine mpi.Combine) (out []byte, err error) {
 	err = w.instrument("MPI_Allreduce", func() error {
 		var ierr error
 		out, ierr = w.inner.Allreduce(data, combine)
-		return ierr
-	})
-	return out, err
-}
-
-// Gather is an annotated mpi.Comm.Gather (recorded as MPI_Gather).
-func (w *Comm) Gather(root int, data []byte) (out [][]byte, err error) {
-	err = w.instrument("MPI_Gather", func() error {
-		var ierr error
-		out, ierr = w.inner.Gather(root, data)
 		return ierr
 	})
 	return out, err

@@ -10,7 +10,6 @@ package snapshot
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"caligo/internal/attr"
@@ -63,22 +62,6 @@ func (r Record) UnpackInto(dst FlatRecord, tree *contexttree.Tree, reg *attr.Reg
 		}
 	}
 	return append(dst, r.Imm...), nil
-}
-
-// Get returns the deepest value of attribute a in the record, searching
-// immediate entries first (they are most recent), then node paths.
-func (r Record) Get(tree *contexttree.Tree, a attr.Attribute) (attr.Variant, bool) {
-	for i := len(r.Imm) - 1; i >= 0; i-- {
-		if r.Imm[i].Attr.ID() == a.ID() {
-			return r.Imm[i].Value, true
-		}
-	}
-	for i := len(r.Nodes) - 1; i >= 0; i-- {
-		if v, ok := tree.FindInPath(r.Nodes[i], a.ID()); ok {
-			return v, true
-		}
-	}
-	return attr.Variant{}, false
 }
 
 // FlatRecord is a fully expanded snapshot record: an ordered list of
@@ -148,24 +131,13 @@ func (f FlatRecord) PathOf(id attr.ID, sep string) string {
 	return sb.String()
 }
 
-// Has reports whether any entry carries the attribute.
-func (f FlatRecord) Has(id attr.ID) bool {
-	for _, e := range f {
-		if e.Attr.ID() == id {
-			return true
-		}
-	}
-	return false
-}
-
-// String renders the record as a sorted, human-readable set of
-// label=value pairs (for tests and debugging).
+// String renders the record's label=value pairs in entry order, so a
+// nested path keeps its order (for tests and debugging).
 func (f FlatRecord) String() string {
 	parts := make([]string, len(f))
 	for i, e := range f {
 		parts[i] = e.String()
 	}
-	sort.Strings(parts)
 	return "{" + strings.Join(parts, ",") + "}"
 }
 

@@ -86,33 +86,6 @@ func TestBuilderReset(t *testing.T) {
 	}
 }
 
-func TestRecordGet(t *testing.T) {
-	fx := newFixture(t)
-	n := fx.tree.GetPath(contexttree.InvalidNode, []attr.Entry{
-		{Attr: fx.fn, Value: attr.StringV("main")},
-		{Attr: fx.fn, Value: attr.StringV("foo")},
-		{Attr: fx.iter, Value: attr.IntV(4)},
-	})
-	var b Builder
-	b.AddNode(n)
-	b.AddImmediate(fx.dur, attr.FloatV(9))
-	rec := b.Record()
-
-	if v, ok := rec.Get(fx.tree, fx.fn); !ok || v.String() != "foo" {
-		t.Errorf("Get(fn) = %v,%v; want foo", v, ok)
-	}
-	if v, ok := rec.Get(fx.tree, fx.iter); !ok || v.AsInt() != 4 {
-		t.Errorf("Get(iter) = %v,%v", v, ok)
-	}
-	if v, ok := rec.Get(fx.tree, fx.dur); !ok || v.AsFloat() != 9 {
-		t.Errorf("Get(dur) = %v,%v", v, ok)
-	}
-	other := fx.reg.MustCreate("other", attr.Int, 0)
-	if _, ok := rec.Get(fx.tree, other); ok {
-		t.Error("Get of absent attribute should miss")
-	}
-}
-
 func TestRecordClone(t *testing.T) {
 	fx := newFixture(t)
 	var b Builder
@@ -161,12 +134,9 @@ func TestFlatRecordAccessors(t *testing.T) {
 	if p := f.PathOf(fx.fn.ID(), "/"); p != "main/foo" {
 		t.Errorf("PathOf = %q, want main/foo", p)
 	}
-	if !f.Has(fx.iter.ID()) || f.Has(fx.dur.ID()) {
-		t.Error("Has misbehaves")
-	}
 	s := f.String()
-	if s != "{function=foo,function=main,iteration=7}" {
-		t.Errorf("String = %q", s)
+	if s != "{function=main,function=foo,iteration=7}" {
+		t.Errorf("String = %q, want entries in record order", s)
 	}
 	var empty FlatRecord
 	if _, ok := empty.Get(fx.fn.ID()); ok {
@@ -195,12 +165,7 @@ func TestUnpackIntoMatchesUnpack(t *testing.T) {
 			nodes = append(nodes, fx.tree.GetChild(parent, fx.iter, attr.IntV(int64(rng.Intn(5)))))
 		}
 	}
-	// a node as a decoder adds it: the tree knows only its attribute id
-	raw, err := fx.tree.AddRaw(nodes[0], fx.iter.ID(), attr.IntV(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes = append(nodes, raw)
+	nodes = append(nodes, fx.tree.GetChild(nodes[0], fx.iter, attr.IntV(99)))
 
 	var dst FlatRecord
 	for i := 0; i < 500; i++ {

@@ -12,8 +12,8 @@ import (
 // instead of base 10, giving a worst-case relative error of
 // 1/subBuckets per bin over the whole positive int64 range. Two special
 // bins bracket the range: bin 0 collects zero and negative observations,
-// and the last bin collects overflow (float observations ≥ 2⁶³,
-// including +Inf).
+// and the last bin, with upper bound +Inf, is kept for overflow beyond
+// the int64 range, which Observe cannot reach.
 const (
 	subBits    = 3
 	subBuckets = 1 << subBits // 8 linear sub-bins per octave
@@ -24,7 +24,7 @@ const (
 	numBins     = overflowBin + 1
 )
 
-// Histogram is a mergeable log-linear latency histogram (values are
+// Histogram is a log-linear latency histogram (values are
 // conventionally nanoseconds, but any int64 magnitude works). All methods
 // are safe for concurrent use; Observe is lock-free and allocation-free.
 type Histogram struct {
@@ -37,9 +37,6 @@ type Histogram struct {
 func newHistogram(name string) *Histogram {
 	return &Histogram{name: name, bins: make([]atomic.Uint64, numBins)}
 }
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
 
 // binIndex maps a value to its bin.
 func binIndex(v int64) int {
@@ -104,56 +101,6 @@ func (h *Histogram) Observe(v int64) {
 	h.observe(v, binIndex(v))
 }
 
-// ObserveFloat records a float observation. NaN is ignored; +Inf and
-// values ≥ 2⁶³ count in the overflow bin (contributing MaxInt64 to Sum);
-// -Inf and values ≤ 0 count in the bottom bin; positive values below 1
-// count in the first positive bin.
-func (h *Histogram) ObserveFloat(f float64) {
-	if !enabled.Load() {
-		return
-	}
-	switch {
-	case math.IsNaN(f):
-		return
-	case f >= math.Ldexp(1, 63):
-		h.observe(math.MaxInt64, overflowBin)
-	case f <= 0:
-		v := int64(math.MinInt64)
-		if f > math.MinInt64 {
-			v = int64(f)
-		}
-		h.observe(v, zeroBin)
-	case f < 1:
-		h.observe(0, binIndex(1))
-	default:
-		h.observe(int64(f), binIndex(int64(f)))
-	}
-}
-
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of recorded values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Merge folds other's observations into h, bin-wise. Merge is associative
-// and commutative (bin-wise addition), mirroring the aggregation core's
-// database merge, and is not gated by the kill switch: it operates on
-// already-recorded data. other is left unchanged.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range other.bins {
-		if n := other.bins[i].Load(); n != 0 {
-			h.bins[i].Add(n)
-		}
-	}
-	if n := other.count.Load(); n != 0 {
-		h.count.Add(n)
-	}
-	if s := other.sum.Load(); s != 0 {
-		h.sum.Add(s)
-	}
-}
-
 // reset zeroes all state.
 func (h *Histogram) reset() {
 	for i := range h.bins {
@@ -185,21 +132,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// EachBucket calls fn once per populated bin in ascending value order,
-// with the bin's exclusive upper bound and its (non-cumulative) count.
-// The bottom (≤ 0) bin reports upper bound 0 and the overflow bin +Inf,
-// so accumulating the counts in call order yields a valid cumulative
-// bucket series for monitoring-style expositions (circllhist-to-Prometheus
-// mapping). The receiver is a pointer purely to avoid copying the bin
-// array per call; fn must not retain it.
-func (s *HistogramSnapshot) EachBucket(fn func(upper float64, count uint64)) {
-	for i := 0; i < numBins; i++ {
-		if n := s.Bins[i]; n != 0 {
-			fn(binUpper(i), n)
-		}
-	}
-}
-
 // Bucket is one populated histogram bin for export: the bin's exclusive
 // upper bound and its (non-cumulative) observation count.
 type Bucket struct {
@@ -209,8 +141,10 @@ type Bucket struct {
 
 // AppendBuckets appends one Bucket per populated bin in ascending value
 // order to dst (reusing its backing array) and returns the extended
-// slice. Like EachBucket it reports the bottom bin with upper bound 0 and
-// the overflow bin with +Inf. Scrapers that hold dst across scrapes read
+// slice. It reports the bottom (≤ 0) bin with upper bound 0 and the
+// overflow bin with +Inf, so accumulating the counts in order yields a
+// valid cumulative bucket series for monitoring-style expositions
+// (circllhist-to-Prometheus mapping). Scrapers that hold dst across scrapes read
 // bucket series allocation-free in steady state.
 func (s *HistogramSnapshot) AppendBuckets(dst []Bucket) []Bucket {
 	for i := 0; i < numBins; i++ {
@@ -219,27 +153,6 @@ func (s *HistogramSnapshot) AppendBuckets(dst []Bucket) []Bucket {
 		}
 	}
 	return dst
-}
-
-// Sub returns the bin-wise window delta s − prev, for turning two
-// cumulative snapshots of the same histogram into the observations that
-// landed between them (the inverse of Merge over a time axis: summing
-// consecutive Sub results reconstructs the cumulative snapshot). A
-// snapshot whose count went backwards means the registry was reset
-// between the two reads; Sub then returns s unchanged, treating the
-// post-reset state as a fresh window. Individual bins that went
-// backwards without a count reset (torn concurrent reads) clamp to 0.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	if s.Count < prev.Count {
-		return s
-	}
-	d := HistogramSnapshot{Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum}
-	for i := range s.Bins {
-		if s.Bins[i] > prev.Bins[i] {
-			d.Bins[i] = s.Bins[i] - prev.Bins[i]
-		}
-	}
-	return d
 }
 
 // Mean returns the arithmetic mean of recorded values (0 when empty).

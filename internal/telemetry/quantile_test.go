@@ -83,12 +83,12 @@ func TestQuantileEdgesTable(t *testing.T) {
 	}
 }
 
-// TestQuantileOverflowEdges pins the overflow bin (float observations
-// ≥ 2⁶³) to +Inf at every quantile that reaches it.
+// TestQuantileOverflowEdges pins the overflow bin to +Inf at every
+// quantile that reaches it.
 func TestQuantileOverflowEdges(t *testing.T) {
 	withEnabled(t, true)
 	h := newHistogram("edge")
-	h.ObserveFloat(math.Inf(1))
+	h.observe(math.MaxInt64, overflowBin)
 	s := h.Snapshot()
 	for _, q := range []float64{0, 0.5, 1} {
 		if got := s.Quantile(q); !math.IsInf(got, 1) {
@@ -139,38 +139,27 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
-// TestEachBucketCumulative: accumulating EachBucket counts in call order
+// TestAppendBucketsCumulative: accumulating AppendBuckets counts in order
 // yields a valid cumulative series ending at Count, with strictly
-// ascending upper bounds.
-func TestEachBucketCumulative(t *testing.T) {
+// ascending upper bounds, the bottom bin reported as upper bound 0.
+func TestAppendBucketsCumulative(t *testing.T) {
 	withEnabled(t, true)
 	h := observeAll([]int64{-2, 0, 1, 5, 5, 300, 1 << 50})
 	s := h.Snapshot()
+	buckets := s.AppendBuckets(nil)
+	if len(buckets) == 0 || buckets[0].Upper != 0 {
+		t.Fatalf("buckets %v: want the bottom bin first, with upper bound 0", buckets)
+	}
 	var cum uint64
 	prev := math.Inf(-1)
-	calls := 0
-	s.EachBucket(func(upper float64, count uint64) {
-		if upper <= prev {
-			t.Errorf("bucket upper bounds not ascending: %g after %g", upper, prev)
+	for _, b := range buckets {
+		if b.Upper <= prev {
+			t.Errorf("bucket upper bounds not ascending: %g after %g", b.Upper, prev)
 		}
-		prev = upper
-		cum += count
-		calls++
-	})
+		prev = b.Upper
+		cum += b.Count
+	}
 	if cum != s.Count {
 		t.Errorf("cumulative bucket count %d != Count %d", cum, s.Count)
-	}
-	if calls == 0 {
-		t.Error("EachBucket made no calls over a populated histogram")
-	}
-	// the ≤0 bin must have been reported with upper bound 0
-	found := false
-	s.EachBucket(func(upper float64, _ uint64) {
-		if upper == 0 {
-			found = true
-		}
-	})
-	if !found {
-		t.Error("EachBucket did not report the bottom bin as upper bound 0")
 	}
 }

@@ -16,13 +16,11 @@
 //     predictable branch — nothing else, and zero allocations.
 //   - The enabled path is also allocation-free: counters and gauges are
 //     single atomics, histogram bins are preallocated atomic arrays.
-//   - Histograms are mergeable log-linear latency histograms in the style
-//     of Circonus's circllhist (arXiv:2001.06561): bin-wise merge is
-//     associative and commutative, so per-thread or per-process histograms
-//     combine exactly like the aggregation core's databases. They are
-//     deliberately coarser than internal/core's fixed-range histogram
-//     operator: a fixed relative error (≤ 1/8 per bin) over the full
-//     positive int64 range, with no configuration.
+//   - Histograms are log-linear latency histograms in the style of
+//     Circonus's circllhist (arXiv:2001.06561). They are deliberately
+//     coarser than internal/core's fixed-range histogram operator: a fixed
+//     relative error (≤ 1/8 per bin) over the full positive int64 range,
+//     with no configuration.
 //
 // Metrics surface three ways: the caliper "metrics" runtime service
 // flushes them as ordinary snapshot records (queryable with CalQL — the
@@ -86,9 +84,6 @@ type Counter struct {
 	v    atomic.Uint64
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
 // Inc adds one.
 func (c *Counter) Inc() {
 	if !enabled.Load() {
@@ -114,9 +109,6 @@ type Gauge struct {
 	name string
 	v    atomic.Int64
 }
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
 
 // Set stores v.
 func (g *Gauge) Set(v int64) {

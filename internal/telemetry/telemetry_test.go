@@ -26,9 +26,9 @@ func TestKillSwitch(t *testing.T) {
 	g.Set(5)
 	g.Add(3)
 	h.Observe(100)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatalf("disabled telemetry recorded: counter=%d gauge=%d hist=%d",
-			c.Value(), g.Value(), h.Count())
+			c.Value(), g.Value(), h.Snapshot().Count)
 	}
 
 	SetEnabled(true)
@@ -43,8 +43,8 @@ func TestKillSwitch(t *testing.T) {
 	if g.Value() != 8 {
 		t.Errorf("gauge = %d, want 8", g.Value())
 	}
-	if h.Count() != 1 || h.Sum() != 100 {
-		t.Errorf("hist count=%d sum=%d, want 1/100", h.Count(), h.Sum())
+	if s := h.Snapshot(); s.Count != 1 || s.Sum != 100 {
+		t.Errorf("hist count=%d sum=%d, want 1/100", s.Count, s.Sum)
 	}
 }
 

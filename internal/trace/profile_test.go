@@ -13,7 +13,7 @@ import (
 func TestProfileSumsPhases(t *testing.T) {
 	prev := SetEnabled(false)
 	t.Cleanup(func() { SetEnabled(prev) })
-	before := Len()
+	before := len(Snapshot())
 
 	var p Profile
 	for rank := 0; rank < 3; rank++ {
@@ -57,8 +57,8 @@ func TestProfileSumsPhases(t *testing.T) {
 	if p.Phases()[0].Stats[0].Value != 30 {
 		t.Error("Phases shares its stats with the profile")
 	}
-	if Len() != before {
-		t.Errorf("tracing off, yet the ring got %d spans", Len()-before)
+	if len(Snapshot()) != before {
+		t.Errorf("tracing off, yet the ring got %d spans", len(Snapshot())-before)
 	}
 }
 

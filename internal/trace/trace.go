@@ -48,10 +48,6 @@ func Enabled() bool { return enabled.Load() }
 // Enable turns span collection on.
 func Enable() { enabled.Store(true) }
 
-// Disable turns span collection off. Collected spans are retained and
-// remain readable.
-func Disable() { enabled.Store(false) }
-
 // SetEnabled sets the kill switch and returns the previous state, for
 // scoped enablement in tests and tools.
 func SetEnabled(on bool) (previous bool) { return enabled.Swap(on) }
@@ -82,9 +78,6 @@ func (a Arg) Value() string {
 	}
 	return a.str
 }
-
-// Int64 returns the numeric value of an integer attribute.
-func (a Arg) Int64() (int64, bool) { return a.num, a.isNum }
 
 // formatInt is strconv.FormatInt(v, 10) without the import (kept local
 // so the package's only dependencies are sync, sync/atomic, and time).
@@ -276,13 +269,6 @@ func Snapshot() []SpanData {
 	return out
 }
 
-// Len returns the number of spans currently buffered.
-func Len() int {
-	ring.mu.Lock()
-	defer ring.mu.Unlock()
-	return ring.size
-}
-
 // Dropped returns the number of spans lost to ring wrap-around.
 func Dropped() uint64 {
 	ring.mu.Lock()
@@ -295,19 +281,6 @@ func Dropped() uint64 {
 func Reset() {
 	ring.mu.Lock()
 	defer ring.mu.Unlock()
-	ring.size = 0
-	ring.dropped = 0
-}
-
-// SetCapacity resizes the ring buffer, discarding buffered spans.
-// Intended for tests and tools; n < 1 is ignored.
-func SetCapacity(n int) {
-	if n < 1 {
-		return
-	}
-	ring.mu.Lock()
-	defer ring.mu.Unlock()
-	ring.slots = make([]SpanData, n)
 	ring.size = 0
 	ring.dropped = 0
 }

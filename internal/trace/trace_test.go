@@ -7,15 +7,28 @@ import (
 	"testing"
 )
 
+// setCapacity resizes the ring buffer, discarding buffered spans; n < 1
+// is ignored.
+func setCapacity(n int) {
+	if n < 1 {
+		return
+	}
+	ring.mu.Lock()
+	defer ring.mu.Unlock()
+	ring.slots = make([]SpanData, n)
+	ring.size = 0
+	ring.dropped = 0
+}
+
 // withTracing runs f with tracing enabled on a small fresh ring and
 // restores the previous state afterwards.
 func withTracing(t *testing.T, capacity int, f func()) {
 	t.Helper()
 	prev := SetEnabled(true)
-	SetCapacity(capacity)
+	setCapacity(capacity)
 	t.Cleanup(func() {
 		SetEnabled(prev)
-		SetCapacity(defaultCapacity)
+		setCapacity(defaultCapacity)
 	})
 	f()
 }
@@ -50,9 +63,6 @@ func TestSpanLifecycle(t *testing.T) {
 		if args[0].Key() != "file" || args[0].Value() != "a.cali" {
 			t.Errorf("arg[0] = %s=%s", args[0].Key(), args[0].Value())
 		}
-		if v, ok := args[1].Int64(); !ok || v != 42 {
-			t.Errorf("arg[1].Int64() = %d,%v want 42,true", v, ok)
-		}
 		if args[1].Value() != "42" {
 			t.Errorf("arg[1].Value() = %q, want \"42\"", args[1].Value())
 		}
@@ -62,7 +72,7 @@ func TestSpanLifecycle(t *testing.T) {
 func TestDisabledSpanIsInert(t *testing.T) {
 	prev := SetEnabled(false)
 	t.Cleanup(func() { SetEnabled(prev) })
-	before := Len()
+	before := len(Snapshot())
 	sp := Begin("nope")
 	if sp.Active() {
 		t.Error("span active with tracing disabled")
@@ -70,8 +80,8 @@ func TestDisabledSpanIsInert(t *testing.T) {
 	sp.Arg("k", "v")
 	sp.ArgInt("n", 1)
 	sp.End()
-	if Len() != before {
-		t.Errorf("disabled span recorded: %d spans buffered, want %d", Len(), before)
+	if len(Snapshot()) != before {
+		t.Errorf("disabled span recorded: %d spans buffered, want %d", len(Snapshot()), before)
 	}
 }
 
@@ -115,8 +125,8 @@ func TestRingWrapAndDropped(t *testing.T) {
 			sp.ArgInt("i", int64(i))
 			sp.End()
 		}
-		if Len() != 4 {
-			t.Errorf("Len = %d, want 4", Len())
+		if len(Snapshot()) != 4 {
+			t.Errorf("Len = %d, want 4", len(Snapshot()))
 		}
 		if Dropped() != 6 {
 			t.Errorf("Dropped = %d, want 6", Dropped())
@@ -130,8 +140,8 @@ func TestRingWrapAndDropped(t *testing.T) {
 				t.Errorf("non-contiguous seq: %d after %d", spans[i].Seq, spans[i-1].Seq)
 			}
 		}
-		if v, _ := spans[3].Args()[0].Int64(); v != 9 {
-			t.Errorf("newest span i=%d, want 9", v)
+		if v := spans[3].Args()[0].Value(); v != "9" {
+			t.Errorf("newest span i=%s, want 9", v)
 		}
 	})
 }
@@ -141,8 +151,8 @@ func TestResetDiscards(t *testing.T) {
 		sp := Begin("x")
 		sp.End()
 		Reset()
-		if Len() != 0 {
-			t.Errorf("Len after Reset = %d, want 0", Len())
+		if len(Snapshot()) != 0 {
+			t.Errorf("Len after Reset = %d, want 0", len(Snapshot()))
 		}
 		sp = Begin("y")
 		sp.End()
@@ -267,9 +277,9 @@ func BenchmarkTraceOverheadEnabled(b *testing.B) {
 	prev := SetEnabled(true)
 	b.Cleanup(func() {
 		SetEnabled(prev)
-		SetCapacity(defaultCapacity)
+		setCapacity(defaultCapacity)
 	})
-	SetCapacity(1 << 10)
+	setCapacity(1 << 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

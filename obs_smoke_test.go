@@ -97,15 +97,13 @@ func TestEndpointSmoke(t *testing.T) {
 		if !ok || count < 1 {
 			t.Errorf("caligo_query_ns _count = %v (ok=%v), want >= 1", count, ok)
 		}
-		if _, ok := f.HistSum(); !ok {
-			t.Error("caligo_query_ns missing _sum")
-		}
-		hasBucket := false
+		hasBucket, hasSum := false, false
 		for _, s := range f.Samples {
-			if s.Name == "caligo_query_ns_bucket" {
-				hasBucket = true
-				break
-			}
+			hasBucket = hasBucket || s.Name == "caligo_query_ns_bucket"
+			hasSum = hasSum || s.Name == "caligo_query_ns_sum"
+		}
+		if !hasSum {
+			t.Error("caligo_query_ns missing _sum")
 		}
 		if !hasBucket {
 			t.Error("caligo_query_ns missing _bucket series")
