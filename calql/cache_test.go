@@ -2,8 +2,10 @@ package calql
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -687,5 +689,118 @@ func TestExplainNamesCacheFallbacks(t *testing.T) {
 	if s := obs.QuerySnapshot()[0]; s.Text != "EXPLAIN ANALYZE "+q || s.CacheHits != 1 || s.CacheMisses != 2 || s.CacheIncremental != 0 {
 		t.Errorf("/debug/queries record %q: cache hits=%d misses=%d incremental=%d, want 1, 2, 0",
 			s.Text, s.CacheHits, s.CacheMisses, s.CacheIncremental)
+	}
+}
+
+// fnvQuickV1 is the version-1 quick hash of a file's first n bytes:
+// FNV-1a over the length, the head 64 KiB and the tail 64 KiB.
+func fnvQuickV1(t *testing.T, path string, n int64) uint64 {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = b[:n]
+	const window = 64 * 1024
+	h := fnv.New64a()
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(n)))
+	h.Write(b[:min(n, window)])
+	if n > window {
+		h.Write(b[n-window:])
+	}
+	return h.Sum64()
+}
+
+// sealV1 turns a current encoding, whose version field is already 1 and
+// whose trailer is a 4-byte CRC-32C, into the version-1 bytes: the same
+// body sealed with an 8-byte FNV-1a.
+func sealV1(enc []byte) []byte {
+	body := enc[:len(enc)-4]
+	h := fnv.New64a()
+	h.Write(body)
+	return binary.LittleEndian.AppendUint64(body, h.Sum64())
+}
+
+// TestVersion1FilesFallBackByVersion: sidecar indexes and cache entries
+// as the FNV-1a format (version 1) wrote them are rejected by their
+// version, never read as stale or as current, and the answer is a full
+// scan's.
+func TestVersion1FilesFallBackByVersion(t *testing.T) {
+	files := indexedFiles(t, 4)
+	const q = "AGGREGATE sum(aggregate.count) GROUP BY kernel"
+	full, err := Run(context.Background(), q, files, Options{NoIndex: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := full.String()
+
+	for _, f := range files {
+		idx, err := calformat.ReadIndexFile(calformat.IndexPath(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(whole)
+		idx.Version = 1
+		idx.QuickHash = fnvQuickV1(t, f, idx.FileSize)
+		idx.FullHash = h.Sum64()
+		if err := os.WriteFile(calformat.IndexPath(f), sealV1(idx.Encode()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := explain("EXPLAIN ANALYZE "+q, files, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "fallback_version=4") || strings.Contains(out, "fallback_stale") {
+		t.Errorf("EXPLAIN ANALYZE over version-1 sidecars, want fallback_version=4 and no fallback_stale:\n%s", out)
+	}
+	if res, err := Run(context.Background(), q, files, Options{}); err != nil || res.String() != want {
+		t.Errorf("version-1 sidecars: output differs from a full scan (err %v):\n%s", err, res)
+	}
+
+	// entries stored by a cold run, rewritten as version 1 before each run
+	cacheDir := t.TempDir()
+	if _, err := Run(context.Background(), q, files, Options{NoIndex: true, CacheDir: cacheDir}); err != nil {
+		t.Fatal(err)
+	}
+	sealEntries := func() {
+		t.Helper()
+		ents, err := filepath.Glob(filepath.Join(cacheDir, "*"+qcache.EntryExt))
+		if err != nil || len(ents) != len(files) {
+			t.Fatalf("%d cache entries (%v), want %d", len(ents), err, len(files))
+		}
+		for _, p := range ents {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := qcache.DecodeEntry(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.PrefixHash = fnvQuickV1(t, e.File, e.Watermark)
+			enc := e.Encode()
+			enc[len("CALQC1\n")] = 1 // the version uvarint, one byte
+			if err := os.WriteFile(p, sealV1(enc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sealEntries()
+	out, err = explain("EXPLAIN ANALYZE "+q, files, Options{NoIndex: true, CacheDir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`-> cache .*\n.* fallback_version=4`).MatchString(out) || strings.Contains(out, "fallback_stale") {
+		t.Errorf("EXPLAIN ANALYZE over version-1 entries, want fallback_version=4 and no fallback_stale:\n%s", out)
+	}
+	sealEntries()
+	if res, err := Run(context.Background(), q, files, Options{NoIndex: true, CacheDir: cacheDir}); err != nil || res.String() != want {
+		t.Errorf("version-1 entries: output differs from a full scan (err %v):\n%s", err, res)
 	}
 }

@@ -14,10 +14,11 @@ package calformat
 // The index lives in a sidecar file next to the data (<file>.cali.idx) so
 // existing .cali files stay valid and writable by tools that know nothing
 // about indexes. Staleness is detected at load time by content length
-// plus a quick content hash (FNV-1a over the length and the first and
-// last 64 KiB); a full-content hash is also stored and checked by
-// `cali-index -verify`. A stale, corrupt, or version-mismatched index is
-// never used — readers fall back to a full scan.
+// plus a quick content hash (CRC-32C over the length and the first and
+// last 64 KiB, see quickHashFile); a full-content CRC-32C is also stored
+// and checked by `cali-index -verify`. A stale, corrupt, or
+// version-mismatched index is never used — readers fall back to a full
+// scan.
 //
 // Zone maps track every entry occurrence of an attribute in a block (a
 // record can carry the same attribute several times along its context
@@ -30,16 +31,15 @@ package calformat
 // (attr.Compare returns 0) can never justify a skip.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"sort"
+	"sync"
 
 	"caligo/internal/attr"
 	"caligo/internal/contexttree"
@@ -55,8 +55,9 @@ var (
 // Index format constants.
 const (
 	// IndexVersion is bumped on any incompatible format change; readers
-	// reject other versions and fall back to a full scan.
-	IndexVersion = 1
+	// reject other versions and fall back to a full scan. Version 2
+	// hashes with CRC-32C where version 1 used FNV-1a.
+	IndexVersion = 2
 
 	indexMagic = "CALIDX1\n"
 
@@ -113,8 +114,8 @@ func (o IndexOptions) maxDistinct() int {
 type Index struct {
 	Version     int
 	FileSize    int64
-	QuickHash   uint64 // FNV-1a over length + head/tail windows
-	FullHash    uint64 // FNV-1a over the whole content (cali-index -verify)
+	QuickHash   uint64 // CRC-32C over length + head/tail windows (quickHashFile)
+	FullHash    uint64 // CRC-32C over the whole content (cali-index -verify)
 	BlockTarget int    // records-per-block the index was built with
 
 	// File totals, as a full decode would count them.
@@ -398,9 +399,6 @@ func BuildFileIndex(path string, opt IndexOptions) (*Index, error) {
 	acc.refreshAttrs()
 	idx := acc.finish(rd.Offset(), rd.MetaLines(), tree.Len(), len(rd.Globals()))
 
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
 	quick, full, size, err := hashReader(f)
 	if err != nil {
 		return nil, err
@@ -520,82 +518,126 @@ func (iw *IndexingWriter) Finish() (*Index, error) {
 	iw.acc.refreshAttrs()
 	idx := iw.acc.finish(iw.hw.n, iw.Writer.metaLines, len(iw.Writer.wroteNode), iw.globals)
 	idx.QuickHash = iw.hw.quickSum()
-	idx.FullHash = iw.hw.full.Sum64()
+	idx.FullHash = uint64(iw.hw.full)
 	telIndexBuilt.Inc()
 	return idx, nil
 }
 
 // hashingWriter tees writes into the full-content hash and keeps the
 // head/tail windows needed to compute the quick hash at Finish, matching
-// hashReader's file-based computation byte for byte.
+// quickHashFile's file-based computation byte for byte.
 type hashingWriter struct {
 	w    io.Writer
 	n    int64
-	full hash.Hash64
+	full uint32 // CRC-32C of everything written
 	head []byte // first quickHashWindow bytes
-	tail []byte // ring of the last quickHashWindow bytes
-	tpos int
+	tail []byte // ring of the last quickHashWindow bytes: stream byte i at i % quickHashWindow
 }
 
 func newHashingWriter(w io.Writer) *hashingWriter {
-	return &hashingWriter{w: w, full: newFNV(), tail: make([]byte, 0, quickHashWindow)}
+	return &hashingWriter{w: w, tail: make([]byte, quickHashWindow)}
 }
 
 func (hw *hashingWriter) Write(p []byte) (int, error) {
 	n, err := hw.w.Write(p)
 	b := p[:n]
-	hw.n += int64(n)
-	hw.full.Write(b)
+	hw.full = crc(hw.full, b)
 	if len(hw.head) < quickHashWindow {
-		take := quickHashWindow - len(hw.head)
-		if take > len(b) {
-			take = len(b)
-		}
-		hw.head = append(hw.head, b[:take]...)
+		hw.head = append(hw.head, b[:min(len(b), quickHashWindow-len(hw.head))]...)
 	}
-	for _, c := range b {
-		if len(hw.tail) < quickHashWindow {
-			hw.tail = append(hw.tail, c)
-		} else {
-			hw.tail[hw.tpos] = c
-			hw.tpos = (hw.tpos + 1) % quickHashWindow
-		}
+	start := hw.n
+	hw.n += int64(n)
+	if len(b) > quickHashWindow {
+		start += int64(len(b) - quickHashWindow)
+		b = b[len(b)-quickHashWindow:]
 	}
+	k := copy(hw.tail[start%quickHashWindow:], b)
+	copy(hw.tail, b[k:])
 	return n, err
 }
 
 // quickSum computes the quick hash from the tracked windows.
 func (hw *hashingWriter) quickSum() uint64 {
-	h := newFNV()
-	var sz [8]byte
-	binary.LittleEndian.PutUint64(sz[:], uint64(hw.n))
-	h.Write(sz[:])
-	h.Write(hw.head)
+	seed := sizeSeed(make([]byte, 8), hw.n)
+	var lo uint32
 	if hw.n > quickHashWindow {
-		// last min(n, window) bytes, in stream order
-		h.Write(hw.tail[hw.tpos:])
-		h.Write(hw.tail[:hw.tpos])
+		// the last window, in stream order
+		pos := hw.n % quickHashWindow
+		lo = crc(crc(seed, hw.tail[pos:]), hw.tail[:pos])
 	}
-	return h.Sum64()
+	return uint64(crc(seed, hw.head))<<32 | uint64(lo)
 }
 
-// newFNV keeps the hash choice in one place.
-func newFNV() hash.Hash64 { return fnv.New64a() }
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the
+// SSE4.2 (amd64) or CRC32 (arm64) instructions.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// hashReader computes (quickHash, fullHash, size) of a seekable file.
+// crc extends a CRC-32C over p: the one hash function of the index (its
+// quick and full content hashes and its self-checksum).
+func crc(c uint32, p []byte) uint32 { return crc32.Update(c, castagnoli, p) }
+
+// Checksum is the CRC-32C of p: the trailing self-checksum of a sidecar
+// index, and of a query-state cache entry.
+func Checksum(p []byte) uint32 { return crc(0, p) }
+
+// sizeSeed starts both halves of a quick hash: the CRC-32C of the
+// content's exact length, encoded into scratch's first 8 bytes (a local
+// array would escape into crc32.Update and cost an allocation a check).
+func sizeSeed(scratch []byte, size int64) uint32 {
+	binary.LittleEndian.PutUint64(scratch, uint64(size))
+	return crc(0, scratch[:8])
+}
+
+// windows is the free list of the buffers quickHashFile and hashReader
+// read into, one window plus the byte CheckIdentity probes past the
+// content. It retains as many buffers as the most checks that ever ran at
+// once. It is not a sync.Pool: a collection empties a pool, and every
+// check after it would allocate its window again.
+var windows struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+func getWindow() []byte {
+	windows.mu.Lock()
+	if n := len(windows.free); n > 0 {
+		b := windows.free[n-1]
+		windows.free = windows.free[:n-1]
+		windows.mu.Unlock()
+		return b
+	}
+	windows.mu.Unlock()
+	return make([]byte, quickHashWindow+1)
+}
+
+func putWindow(b []byte) {
+	windows.mu.Lock()
+	windows.free = append(windows.free, b)
+	windows.mu.Unlock()
+}
+
+// hashReader computes (quickHash, fullHash, size) of an open file.
 func hashReader(f *os.File) (quick, full uint64, size int64, err error) {
 	size, q, err := QuickHash(f)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, 0, err
+	buf := getWindow()
+	defer putWindow(buf)
+	var c uint32
+	var off int64
+	for {
+		n, err := f.ReadAt(buf, off)
+		c = crc(c, buf[:n])
+		off += int64(n)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, 0, 0, err
+		}
 	}
-	h := newFNV()
-	if _, err := io.Copy(h, bufio.NewReaderSize(f, 256*1024)); err != nil {
-		return 0, 0, 0, err
-	}
-	return q, h.Sum64(), size, nil
+	return q, uint64(c), size, nil
 }
 
 // QuickHash returns the identity of the open file as it is now: its size
@@ -607,7 +649,7 @@ func QuickHash(f *os.File) (size int64, hash uint64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	hash, err = quickHashFile(f, st.Size())
+	hash, _, err = quickHashFile(f, st.Size())
 	return st.Size(), hash, err
 }
 
@@ -621,63 +663,66 @@ const (
 )
 
 // CheckIdentity reports whether a recorded (n, hash) still describes the
-// first n bytes of the open file, with one stat and one quick hash. It is
-// the one staleness test of the index, to which a grown file is as stale
-// as a changed one, and of the cache, which rescans only a grown file's
-// tail.
+// first n bytes of the open file, with one quick hash whose last read
+// also says whether a byte follows them. It is the one staleness test of
+// the index, to which a grown file is as stale as a changed one, and of
+// the cache, which rescans only a grown file's tail. Bytes strictly
+// between the two windows are not read: an edit there that keeps the
+// length goes unseen (cali-index -verify's full hash sees it).
 func CheckIdentity(f *os.File, n int64, hash uint64) (Identity, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return Changed, err
-	}
-	if n < 0 || n > st.Size() {
+	if n < 0 {
 		return Changed, nil
 	}
-	got, err := quickHashFile(f, n)
+	got, fill, err := quickHashFile(f, n)
 	switch {
-	case err != nil || got != hash:
+	case err != nil || fill < n || got != hash:
 		return Changed, err
-	case n == st.Size():
+	case fill == n:
 		return Same, nil
 	}
 	return Grown, nil
 }
 
 // quickHashFile computes the O(1)-read staleness hash of the first size
-// bytes of an open file.
-func quickHashFile(f *os.File, size int64) (uint64, error) {
-	h := newFNV()
-	var sz [8]byte
-	binary.LittleEndian.PutUint64(sz[:], uint64(size))
-	h.Write(sz[:])
-	headLen := size
-	if headLen > quickHashWindow {
-		headLen = quickHashWindow
-	}
-	buf := make([]byte, headLen)
-	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
-		return 0, err
-	}
-	h.Write(buf)
-	if size > quickHashWindow {
-		tailLen := int64(quickHashWindow)
-		if tailLen > size {
-			tailLen = size
+// bytes of an open file: the CRC-32C of the length and the head window
+// (its first min(size, quickHashWindow) bytes) in the high half, and of
+// the length and the tail window (its last quickHashWindow bytes) in the
+// low half, which is 0 when the head window already covers all size
+// bytes. The window holding the last of the size bytes is read one byte
+// long, so fill, how far the file reaches capped at size+1, says whether
+// it is shorter than size (fill < size) or longer (fill == size+1).
+func quickHashFile(f *os.File, size int64) (hash uint64, fill int64, err error) {
+	buf := getWindow()
+	defer putWindow(buf)
+	seed := sizeSeed(buf, size)
+	if size <= quickHashWindow {
+		k, err := f.ReadAt(buf[:size+1], 0)
+		if err != nil && err != io.EOF {
+			return 0, 0, err
 		}
-		tail := make([]byte, tailLen)
-		if _, err := f.ReadAt(tail, size-tailLen); err != nil && err != io.EOF {
-			return 0, err
-		}
-		h.Write(tail)
+		return uint64(crc(seed, buf[:min(int64(k), size)])) << 32, int64(k), nil
 	}
-	return h.Sum64(), nil
+	k, err := f.ReadAt(buf[:quickHashWindow], 0)
+	if err != nil && err != io.EOF {
+		return 0, 0, err
+	}
+	if k < quickHashWindow {
+		return 0, int64(k), nil
+	}
+	hi := crc(seed, buf[:quickHashWindow])
+	k, err = f.ReadAt(buf, size-quickHashWindow)
+	if err != nil && err != io.EOF {
+		return 0, 0, err
+	}
+	lo := crc(seed, buf[:min(k, quickHashWindow)])
+	return uint64(hi)<<32 | uint64(lo), size - quickHashWindow + int64(k), nil
 }
 
 // ---------------------------------------------------------------------------
 // Binary encoding
 
 // Encode renders the index in its binary sidecar form: magic, uvarint
-// fields, and a trailing FNV-1a self-checksum that catches truncation.
+// fields, and a trailing CRC-32C self-checksum that catches truncation.
 func (idx *Index) Encode() []byte {
 	b := make([]byte, 0, 256+64*len(idx.Blocks))
 	b = append(b, indexMagic...)
@@ -726,9 +771,7 @@ func (idx *Index) Encode() []byte {
 			}
 		}
 	}
-	h := newFNV()
-	h.Write(b)
-	return binary.LittleEndian.AppendUint64(b, h.Sum64())
+	return binary.LittleEndian.AppendUint32(b, Checksum(b))
 }
 
 func appendString(b []byte, s string) []byte {
@@ -806,16 +849,19 @@ func (c *cursor) str(what string) string {
 // self-checksum, and structural invariants (contiguous blocks covering
 // exactly [0, FileSize), consistent totals, in-range zone references).
 func DecodeIndex(b []byte) (*Index, error) {
-	if len(b) < len(indexMagic)+8 {
+	if len(b) < len(indexMagic)+4 {
 		return nil, fmt.Errorf("%w: short file (%d bytes)", ErrIndexCorrupt, len(b))
 	}
 	if string(b[:len(indexMagic)]) != indexMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrIndexCorrupt)
 	}
-	body, sum := b[:len(b)-8], binary.LittleEndian.Uint64(b[len(b)-8:])
-	h := newFNV()
-	h.Write(body)
-	if h.Sum64() != sum {
+	// an older version sealed its bytes with another checksum: it is
+	// rejected by its version before the checksum could call it damaged
+	if v, n := binary.Uvarint(b[len(indexMagic):]); n > 0 && v < IndexVersion {
+		return nil, fmt.Errorf("%w: got version %d, want %d", ErrIndexVersion, v, IndexVersion)
+	}
+	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
+	if Checksum(body) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch (truncated or damaged)", ErrIndexCorrupt)
 	}
 	c := &cursor{b: body, pos: len(indexMagic)}

@@ -228,6 +228,132 @@ func TestCheckIdentity(t *testing.T) {
 	if id := check(n, hash); id != Changed {
 		t.Errorf("grown file with an edited prefix: %v, want Changed", id)
 	}
+
+	// Single-byte flips in a file longer than two windows: the head and
+	// tail windows are hashed, a same-size rewrite is seen, and a flip
+	// strictly between the windows is the documented blind spot that only
+	// VerifyIndex's full hash sees.
+	path, idx := writeIndexedFixture(t, 6000, 1024)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(orig) <= 2*quickHashWindow+2 {
+		t.Fatalf("fixture is %d bytes, want more than two windows", len(orig))
+	}
+	rewrite := func(body []byte) Identity {
+		t.Helper()
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return check(idx.FileSize, idx.QuickHash)
+	}
+	flipped := func(at int) []byte {
+		b := append([]byte{}, orig...)
+		b[at] ^= 0x01
+		return b
+	}
+	if id := rewrite(orig); id != Same {
+		t.Fatalf("untouched file: %v, want Same", id)
+	}
+	for _, at := range []int{0, quickHashWindow - 1, len(orig) - quickHashWindow, len(orig) - 1} {
+		if id := rewrite(flipped(at)); id != Changed {
+			t.Errorf("flip at %d (inside a window): %v, want Changed", at, id)
+		}
+	}
+	if id := rewrite(append(append([]byte{}, orig[1:]...), orig[0])); id != Changed {
+		t.Errorf("same-size rewrite: %v, want Changed", id)
+	}
+	for _, at := range []int{quickHashWindow, len(orig) / 2, len(orig) - quickHashWindow - 1} {
+		if id := rewrite(flipped(at)); id != Same {
+			t.Errorf("flip at %d (between the windows): %v, want Same", at, id)
+		}
+		if _, err := LoadIndex(path); err != nil {
+			t.Errorf("flip at %d: LoadIndex: %v, want the index", at, err)
+		}
+		if _, err := VerifyIndex(path); !isStale(err) {
+			t.Errorf("flip at %d: VerifyIndex err = %v, want ErrIndexStale", at, err)
+		}
+	}
+	if id := rewrite(orig); id != Same {
+		t.Errorf("restored file: %v, want Same", id)
+	}
+	if _, err := VerifyIndex(path); err != nil {
+		t.Errorf("restored file: VerifyIndex: %v", err)
+	}
+}
+
+// TestQuickHashWindowEdges: the hash the writer builds while writing
+// equals the hash read back from the file at every size around the
+// window edges, whatever sizes the bytes were written in.
+func TestQuickHashWindowEdges(t *testing.T) {
+	const w = quickHashWindow
+	content := make([]byte, 300000)
+	for i := range content {
+		content[i] = byte(i*131 + i>>9)
+	}
+	for _, size := range []int{0, 1, w - 1, w, w + 1, 2*w - 1, 2 * w, 2*w + 1, 300000} {
+		for _, chunk := range []int{1 << 20, 4093, w + 7} {
+			path := filepath.Join(t.TempDir(), "edge.cali")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fx := newFixture(t)
+			iw := NewIndexingWriter(f, fx.reg, fx.tree, IndexOptions{})
+			for b := content[:size]; len(b) > 0; b = b[min(chunk, len(b)):] {
+				if _, err := iw.Writer.w.Write(b[:min(chunk, len(b))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			idx, err := iw.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			quick, full, n, err := hashReader(f)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != int64(size) || idx.FileSize != n {
+				t.Fatalf("size %d: file %d bytes, index says %d", size, n, idx.FileSize)
+			}
+			if idx.QuickHash != quick || idx.FullHash != full {
+				t.Errorf("size %d, chunks of %d: writer hashes (%#x, %#x), file hashes (%#x, %#x)",
+					size, chunk, idx.QuickHash, idx.FullHash, quick, full)
+			}
+			if lo := uint32(quick); size <= w && lo != 0 {
+				t.Errorf("size %d: one-window file has tail half %#x, want 0", size, lo)
+			}
+		}
+	}
+}
+
+// TestCheckIdentityAllocFree: a check reads into a reused window buffer,
+// so after the first one it allocates nothing.
+func TestCheckIdentityAllocFree(t *testing.T) {
+	small, sidx := writeIndexedFixture(t, 50, 10)
+	large, lidx := writeIndexedFixture(t, 6000, 1024)
+	for _, c := range []struct {
+		path string
+		idx  *Index
+	}{{small, sidx}, {large, lidx}} {
+		f, err := os.Open(c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var id Identity
+		allocs := testing.AllocsPerRun(20, func() {
+			id, err = CheckIdentity(f, c.idx.FileSize, c.idx.QuickHash)
+		})
+		if err != nil || id != Same {
+			t.Fatalf("%d-byte file: CheckIdentity = %v, %v, want Same", c.idx.FileSize, id, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%d-byte file: CheckIdentity allocates %.1f times, want 0", c.idx.FileSize, allocs)
+		}
+	}
 }
 
 func TestDecodeIndexRejectsDamage(t *testing.T) {

@@ -17,7 +17,7 @@
 // with the cached state, and re-stores (append-aware incremental scan,
 // see internal/query).
 //
-// Entries carry a trailing FNV-1a self-checksum; any corruption,
+// Entries carry a trailing CRC-32C self-checksum; any corruption,
 // truncation, version skew, or fingerprint collision decodes to an
 // error and the caller falls back to a full scan. The cached state blob
 // is core.DB.EncodeState output: registry-independent and mergeable
@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 
+	"caligo/internal/calformat"
 	"caligo/internal/calql"
 	"caligo/internal/telemetry"
 )
@@ -53,10 +54,12 @@ var (
 )
 
 // Entry-file binary format: magic, uvarint fields, the state blob, and a
-// trailing FNV-1a self-checksum (the index.go idiom).
+// trailing CRC-32C self-checksum (calformat.Checksum, as a sidecar
+// index's). Version 2 entries record calformat's CRC-32C quick hash as
+// PrefixHash where version 1 recorded an FNV-1a one.
 const (
 	entryMagic   = "CALQC1\n"
-	entryVersion = 1
+	entryVersion = 2
 
 	// EntryExt is the cache entry file extension.
 	EntryExt = ".qce"
@@ -117,9 +120,7 @@ func (e *Entry) Encode() []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(e.State)))
 	b = append(b, e.State...)
-	h := fnv.New64a()
-	h.Write(b)
-	return binary.LittleEndian.AppendUint64(b, h.Sum64())
+	return binary.LittleEndian.AppendUint32(b, calformat.Checksum(b))
 }
 
 func appendString(b []byte, s string) []byte {
@@ -197,13 +198,16 @@ func (c *cursor) bytes() []byte {
 // DecodeEntry parses an entry file body, verifying the magic, version,
 // and trailing checksum.
 func DecodeEntry(data []byte) (*Entry, error) {
-	if len(data) < len(entryMagic)+8 || string(data[:len(entryMagic)]) != entryMagic {
+	if len(data) < len(entryMagic)+4 || string(data[:len(entryMagic)]) != entryMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	body, sum := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sum {
+	// an older version sealed its bytes with another checksum: it is
+	// rejected by its version before the checksum could call it corrupt
+	if v, n := binary.Uvarint(data[len(entryMagic):]); n > 0 && v < entryVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrVersion, v, entryVersion)
+	}
+	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
+	if calformat.Checksum(body) != sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	c := &cursor{buf: body, pos: len(entryMagic)}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"caligo/internal/calformat"
 	"caligo/internal/calql"
 	"caligo/internal/telemetry"
 )
@@ -60,9 +61,7 @@ func TestEntryRoundTrip(t *testing.T) {
 // reseal recomputes the trailing checksum over body and appends it —
 // for crafting entries that pass the checksum but fail later checks.
 func reseal(body []byte) []byte {
-	h := fnv.New64a()
-	h.Write(body)
-	return binary.LittleEndian.AppendUint64(body, h.Sum64())
+	return binary.LittleEndian.AppendUint32(body, calformat.Checksum(body))
 }
 
 func TestEntryDecodeCorrupt(t *testing.T) {
@@ -84,7 +83,7 @@ func TestEntryDecodeCorrupt(t *testing.T) {
 		}
 	}
 	// resealed body with trailing garbage: checksum passes, length check trips
-	body := append([]byte{}, valid[:len(valid)-8]...)
+	body := append([]byte{}, valid[:len(valid)-4]...)
 	body = append(body, 0, 0, 0)
 	if _, err := DecodeEntry(reseal(body)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("trailing bytes: err = %v, want ErrCorrupt", err)
@@ -96,6 +95,18 @@ func TestEntryDecodeVersion(t *testing.T) {
 	body = binary.AppendUvarint(body, 99)
 	if _, err := DecodeEntry(reseal(body)); !errors.Is(err, ErrVersion) {
 		t.Errorf("err = %v, want ErrVersion", err)
+	}
+
+	// a version-1 entry as the FNV-1a format sealed it: its version is
+	// read before the checksum, which it cannot pass
+	v1 := append([]byte{}, entryMagic...)
+	v1 = binary.AppendUvarint(v1, 1)
+	v1 = append(v1, sampleEntry().Encode()[len(v1):len(v1)+20]...)
+	h := fnv.New64a()
+	h.Write(v1)
+	v1 = binary.LittleEndian.AppendUint64(v1, h.Sum64())
+	if _, err := DecodeEntry(v1); !errors.Is(err, ErrVersion) {
+		t.Errorf("version-1 entry: err = %v, want ErrVersion", err)
 	}
 }
 

@@ -43,15 +43,21 @@ type Engine struct {
 	prof *trace.Profile
 }
 
-// readerPool holds the readers finished scan workers hand back: an
-// emulated rank is a worker with one file, so without it every rank of
-// every query would grow a scan buffer and a node arena of its own. A
-// pooled reader sits on an empty source with no registry, so the pool pins
-// neither files nor registries, and Reset's registry check clears the
-// intern table when the reader is taken up again.
-var readerPool = sync.Pool{New: func() any { return calformat.NewReader(parked{}, nil, nil) }}
+// readers is the free list of the readers finished scan workers hand
+// back: an emulated rank is a worker with one file, so without it every
+// rank of every query would grow a scan buffer and a node arena of its
+// own. It retains as many parked readers as the most scan workers that
+// ever ran at once. It is not a sync.Pool: a collection empties a pool,
+// and the next query's workers would regrow their arenas. A parked reader
+// sits on an empty source with no registry, so the list pins neither
+// files nor registries, and Reset's registry check clears the intern
+// table when the reader is taken up again.
+var readers struct {
+	mu   sync.Mutex
+	free []*calformat.Reader
+}
 
-// parked is the source of a reader in readerPool.
+// parked is the source of a reader on the readers list.
 type parked struct{}
 
 func (parked) Read([]byte) (int, error) { return 0, io.EOF }
@@ -199,19 +205,29 @@ func (w *Where) Match(rec snapshot.FlatRecord) bool {
 // reader returns the engine's reader, reset onto src.
 func (e *Engine) reader(src io.Reader, reg *attr.Registry, tree *contexttree.Tree) *calformat.Reader {
 	if e.rd == nil {
-		e.rd = readerPool.Get().(*calformat.Reader)
+		readers.mu.Lock()
+		if n := len(readers.free); n > 0 {
+			e.rd = readers.free[n-1]
+			readers.free = readers.free[:n-1]
+		}
+		readers.mu.Unlock()
+		if e.rd == nil {
+			e.rd = calformat.NewReader(parked{}, nil, nil)
+		}
 	}
 	e.rd.Reset(src, reg, tree)
 	return e.rd
 }
 
-// releaseReader hands the engine's reader, if it took one, to readerPool.
-// The engine's results do not depend on it: records are copied out of the
-// reader's buffers as they are processed.
+// releaseReader hands the engine's reader, if it took one, to the readers
+// list. The engine's results do not depend on it: records are copied out
+// of the reader's buffers as they are processed.
 func (e *Engine) releaseReader() {
 	if e.rd != nil {
 		e.rd.Reset(parked{}, nil, nil)
-		readerPool.Put(e.rd)
+		readers.mu.Lock()
+		readers.free = append(readers.free, e.rd)
+		readers.mu.Unlock()
 		e.rd = nil
 	}
 }
